@@ -6,7 +6,7 @@
 /// table on stdout) and writes a CSV next to the binary under bench_out/.
 /// Absolute GF/s numbers come from the calibrated machine models; what is
 /// expected to reproduce is the *shape*: who wins, by what factor, where
-/// the crossovers fall (see EXPERIMENTS.md).
+/// the crossovers fall (see docs/benchmarks.md).
 
 #include <filesystem>
 #include <iostream>

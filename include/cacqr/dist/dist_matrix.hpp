@@ -143,7 +143,9 @@ class DistMatrix {
 /// Collective; requires the global dimensions divisible by the processor
 /// counts.  Charge: one Allgather of the local block over P ranks,
 /// ceil(lg P) alpha + (m n / P)(P - 1) beta; the unpack is a threaded
-/// local stage.
+/// local stage.  The Allgather lands in a grow-only per-rank staging
+/// buffer that persists across calls (the dist.staging.* metrics), so
+/// repeated gathers of one shape allocate only their result.
 [[nodiscard]] lin::Matrix gather(const DistMatrix& a, const rt::Comm& comm);
 
 /// The Transpose collective on a cube-grid slice: returns A^T in the same

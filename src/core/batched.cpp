@@ -148,10 +148,9 @@ void run_shifted(const detail::Padded& padded, const rt::Comm& world,
   CaCqrResult fact =
       ca_cqr3(da, g, {.base_case = opts.base_case, .shift = 0.0});
   item.used_shift = true;
-  lin::Matrix q_full = dist::gather(fact.q, g.slice());
-  lin::Matrix r_full = dist::gather(fact.r, g.subcube().slice());
-  item.q = lin::materialize(q_full.sub(0, 0, padded.m, padded.n));
-  item.r = lin::materialize(r_full.sub(0, 0, padded.n, padded.n));
+  item.q = detail::strip(dist::gather(fact.q, g.slice()), padded.m, padded.n);
+  item.r = detail::strip(dist::gather(fact.r, g.subcube().slice()), padded.n,
+                         padded.n);
   item.ok = true;
   item.error = nullptr;
 }
@@ -253,8 +252,8 @@ std::vector<BatchedItem> factorize_batched(
     // Gather the sweep's survivors and strip the padding, in panel order.
     for (std::size_t i = 0; i < b; ++i) {
       if (final_pass[i] == nullptr) continue;
-      lin::Matrix q_full = dist::gather(final_pass[i]->q, world);
-      out[i].q = lin::materialize(q_full.sub(0, 0, padded[i].m, padded[i].n));
+      out[i].q = detail::strip(dist::gather(final_pass[i]->q, world),
+                               padded[i].m, padded[i].n);
       out[i].r = std::move(final_pass[i]->r);
     }
   }

@@ -88,11 +88,15 @@ DistMatrix ca_gram(const DistMatrix& a, const grid::TunableGrid& g,
 
   // Line 1: Bcast(A -> W, root x == z, Pi[:, y, z]).  Only the root
   // stages its panel (threaded materialize); everyone else receives into
-  // uninitialized storage the Bcast fully overwrites.
-  lin::Matrix w = x == z ? materialize(a.local().view())
-                         : lin::Matrix::uninit(a.local().rows(),
-                                               a.local().cols());
-  g.row().bcast(span_of(w), z);
+  // uninitialized storage the Bcast fully overwrites.  With c == 1 the
+  // row communicator is this rank alone and W is A_local itself, so
+  // nothing is staged.
+  lin::Matrix w;
+  if (c > 1) {
+    w = x == z ? materialize(a.local().view())
+               : lin::Matrix::uninit(a.local().rows(), a.local().cols());
+    g.row().bcast(span_of(w), z);
+  }
 
   // Line 2: X = W^T * A_local, the (l = z mod c, j = x mod c) block of the
   // Gram matrix partially summed over this rank's row class.  With c == 1

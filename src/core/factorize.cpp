@@ -105,11 +105,12 @@ FactorizeResult run_ca_cqr(lin::ConstMatrixView a, const rt::Comm& world,
     }
   }
 
-  // Gather and strip the padding.
-  lin::Matrix q_full = dist::gather(fact.q, g.slice());
-  lin::Matrix r_full = dist::gather(fact.r, g.subcube().slice());
-  out.q = lin::materialize(q_full.sub(0, 0, padded.m, padded.n));
-  out.r = lin::materialize(r_full.sub(0, 0, padded.n, padded.n));
+  // Gather and strip the padding.  The scattered input goes first, so it
+  // is not held across the call's largest allocation, the gathered Q.
+  da = DistMatrix();
+  out.q = detail::strip(dist::gather(fact.q, g.slice()), padded.m, padded.n);
+  out.r = detail::strip(dist::gather(fact.r, g.subcube().slice()), padded.n,
+                        padded.n);
   return out;
 }
 
@@ -164,10 +165,8 @@ FactorizeResult run_pgeqrf(lin::ConstMatrixView a, const rt::Comm& world,
   out.pr = pr;
   out.pc = pc;
   out.block = block;
-  lin::Matrix q_full = fact.q.gather(g);
-  lin::Matrix r_full = fact.r.gather(g);
-  out.q = lin::materialize(q_full.sub(0, 0, padded.m, padded.n));
-  out.r = lin::materialize(r_full.sub(0, 0, padded.n, padded.n));
+  out.q = detail::strip(fact.q.gather(g), padded.m, padded.n);
+  out.r = detail::strip(fact.r.gather(g), padded.n, padded.n);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 /// \file internal.hpp
-/// \brief Padding helpers shared by the factorize driver TUs.
+/// \brief Padding and stripping helpers shared by the factorize driver
+///        TUs.
 ///
 /// The padding contract is part of the bitwise-determinism story: the
 /// standalone driver (factorize.cpp) and the batched driver (batched.cpp)
@@ -18,8 +19,12 @@
 namespace cacqr::core::detail {
 
 /// Padded dimensions and the padded matrix itself (see factorize.hpp).
+/// `a` views `storage` when padding was needed, else the caller's panel
+/// (no copy), which must then outlive the Padded.  Moving a Padded keeps
+/// `a` valid: the storage's heap block moves with it.
 struct Padded {
-  lin::Matrix a;
+  lin::Matrix storage;  ///< the padded copy; empty when none was needed
+  lin::ConstMatrixView a;
   i64 m = 0;  ///< original rows
   i64 n = 0;  ///< original cols
 };
@@ -32,9 +37,7 @@ inline Padded pad_to_multiples(lin::ConstMatrixView a, i64 row_mult,
   const i64 n = a.cols;
   const i64 n_pad = round_up(n, col_mult);
   const i64 m_pad = round_up(std::max(m + (n_pad - n), n_pad), row_mult);
-  if (m_pad == m && n_pad == n) {
-    return {lin::materialize(a), m, n};
-  }
+  if (m_pad == m && n_pad == n) return {lin::Matrix(), a, m, n};
   const double fro = lin::frob_norm(a);
   const double delta =
       fro > 0.0 ? fro / std::sqrt(static_cast<double>(n)) : 1.0;
@@ -43,11 +46,21 @@ inline Padded pad_to_multiples(lin::ConstMatrixView a, i64 row_mult,
   for (i64 j = n; j < n_pad; ++j) {
     padded(m + (j - n), j) = delta;
   }
-  return {std::move(padded), m, n};
+  const lin::ConstMatrixView view = padded.view();
+  return {std::move(padded), view, m, n};
 }
 
 inline Padded pad_for_grid(lin::ConstMatrixView a, int c, int d) {
   return pad_to_multiples(a, d, c);
+}
+
+/// The leading rows x cols block of a gathered padded factor: `full`
+/// itself, moved, when nothing was padded, else a copy of the block.
+/// Every driver path strips through here, so an unpadded factor is
+/// never copied.
+inline lin::Matrix strip(lin::Matrix full, i64 rows, i64 cols) {
+  if (full.rows() == rows && full.cols() == cols) return full;
+  return lin::materialize(full.sub(0, 0, rows, cols));
 }
 
 }  // namespace cacqr::core::detail

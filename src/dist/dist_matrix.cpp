@@ -1,5 +1,8 @@
 #include "cacqr/dist/dist_matrix.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -7,6 +10,7 @@
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/parallel.hpp"
 #include "cacqr/lin/util.hpp"
+#include "cacqr/obs/metrics.hpp"
 
 namespace cacqr::dist {
 
@@ -160,6 +164,65 @@ DistMatrix DistMatrix::reinterpret_layout(i64 rows, i64 cols, int row_procs,
   return out;
 }
 
+namespace {
+
+/// Bytes held by all ranks' gather staging buffers.
+std::atomic<i64> g_staging_bytes{0};
+
+/// Grow-only receive buffer of gather's Allgather, one per rank thread
+/// (thread_local, like lin's packing arenas).  A fresh buffer per call
+/// maps fresh pages every time, and faulting them in costs several times
+/// the copy into them; steady-state gathers of one shape reuse the first
+/// call's pages instead.  Growth is published as the dist.staging.*
+/// metrics.
+class GatherStaging {
+ public:
+  GatherStaging() = default;
+  GatherStaging(const GatherStaging&) = delete;
+  GatherStaging& operator=(const GatherStaging&) = delete;
+  ~GatherStaging() { charge(-bytes(cap_)); }
+
+  double* get(std::size_t words) {
+    if (words > cap_) grow(words);
+    return buf_.get();
+  }
+
+ private:
+  static i64 bytes(std::size_t words) {
+    return static_cast<i64>(words * sizeof(double));
+  }
+
+  static void charge(i64 delta) {
+    const i64 now =
+        g_staging_bytes.fetch_add(delta, std::memory_order_relaxed) + delta;
+    auto& reg = obs::Registry::global();
+    reg.gauge("dist.staging.bytes").set(static_cast<double>(now));
+    reg.gauge("dist.staging.high_water").record_max(static_cast<double>(now));
+  }
+
+  void grow(std::size_t want) {
+    // Geometric growth bounds the grow events of ramping shapes.  The old
+    // buffer goes first, so the two are never held at once.
+    const std::size_t words = std::max(want, cap_ + cap_ / 2);
+    const i64 delta = bytes(words) - bytes(cap_);
+    buf_.reset();
+    buf_.reset(new double[words]);  // default-initialized: no zero pass
+    cap_ = words;
+    obs::Registry::global().counter("dist.staging.allocations").add(1);
+    charge(delta);
+  }
+
+  std::unique_ptr<double[]> buf_;
+  std::size_t cap_ = 0;  // in words
+};
+
+GatherStaging& gather_staging() {
+  thread_local GatherStaging staging;
+  return staging;
+}
+
+}  // namespace
+
 lin::Matrix gather(const DistMatrix& a, const rt::Comm& comm) {
   const Layout& lay = a.layout();
   const int p = lay.row_procs * lay.col_procs;
@@ -170,26 +233,34 @@ lin::Matrix gather(const DistMatrix& a, const rt::Comm& comm) {
   const i64 lr = lay.local_rows();
   const i64 lc = lay.local_cols();
   const std::size_t blk = static_cast<std::size_t>(lr * lc);
-  std::vector<double> all(blk * static_cast<std::size_t>(p));
-  comm.allgather({a.local().data(), blk}, all);
+  const std::size_t total = blk * static_cast<std::size_t>(p);
+  double* all = gather_staging().get(total);
+  comm.allgather({a.local().data(), blk}, {all, total});
 
   // Unpack stage: split over local column index lj.  One lj covers the
   // col_procs global columns {x + lj*col_procs : x in ranks}, disjoint
   // across lj, so every element of `full` has exactly one owner and the
-  // scatter is bitwise identical at any thread budget.  Uninitialized
-  // staging: the owners collectively write every element.
+  // scatter is bitwise identical at any thread budget.  Each owned column
+  // is written once, top to bottom: global row y + li*row_procs comes
+  // from the rank at (x, y), which is comm rank x + col_procs * y (the
+  // slice convention).  Uninitialized staging: the owners collectively
+  // write every element.
+  const int rp = lay.row_procs;
+  const int cp = lay.col_procs;
   lin::Matrix full = lin::Matrix::uninit(lay.rows, lay.cols);
   parallel::parallel_for_cols(
-      lay.rows * lay.col_procs, lc, [&](i64 j0, i64 j1) {
-        for (int r = 0; r < p; ++r) {
-          // Slice convention: comm rank == x + col_procs * y.
-          const int x = r % lay.col_procs;
-          const int y = r / lay.col_procs;
-          const double* data = all.data() + static_cast<std::size_t>(r) * blk;
-          for (i64 lj = j0; lj < j1; ++lj) {
-            const i64 gj = x + lj * lay.col_procs;
+      lay.rows * cp, lc, [&](i64 j0, i64 j1) {
+        for (i64 lj = j0; lj < j1; ++lj) {
+          for (int x = 0; x < cp; ++x) {
+            double* dst = full.data() + (x + lj * cp) * lay.rows;
+            const double* src =
+                all + static_cast<std::size_t>(x) * blk +
+                static_cast<std::size_t>(lj * lr);
+            const std::size_t y_stride = static_cast<std::size_t>(cp) * blk;
             for (i64 li = 0; li < lr; ++li) {
-              full(y + li * lay.row_procs, gj) = data[li + lj * lr];
+              for (int y = 0; y < rp; ++y) {
+                dst[li * rp + y] = src[y * y_stride + li];
+              }
             }
           }
         }

@@ -10,7 +10,8 @@
 ///   - allreduce  = recursive-halving reduce-scatter + Bruck allgather
 ///                  (Rabenseifner), with pre/post folding for non-pow2 P
 ///   - reduce     = allreduce (the paper charges Reduce == Allreduce)
-///   - allgather  = Bruck (works for any P, ragged chunks)
+///   - allgather  = Bruck (works for any P, ragged chunks), run in place
+///                  on the output: no staging buffer per request
 ///   - barrier    = dissemination
 ///
 /// Every collective is built as a step list on a RequestState (the
@@ -42,10 +43,6 @@ std::vector<i64> chunk_offsets(i64 n, int p) {
   return off;
 }
 
-i64 chunk_size(const std::vector<i64>& off, int i) {
-  return off[static_cast<std::size_t>(i) + 1] - off[static_cast<std::size_t>(i)];
-}
-
 }  // namespace
 
 namespace detail {
@@ -64,60 +61,44 @@ namespace {
 /// part_rank(i); the caller is participant `my_part`.  When the first
 /// scheduled step runs, data[off[my_part]..off[my_part+1]) must hold the
 /// caller's contribution (for bcast it is produced by the preceding
-/// scatter steps, hence the staging copy is a scheduled Local step, not a
-/// build-time one); after the last step data holds all chunks.
+/// scatter steps); after the last step data holds all chunks.
 /// `part_rank` is only evaluated at build time.
+///
+/// The schedule runs in place on `data`, with no rotated staging copy.
+/// Step s ships the run of chunks my_part, my_part + 1, ... (mod nparts)
+/// the caller already holds, and receives the run starting at chunk
+/// my_part + s.  A run that wraps past the last chunk is two segments of
+/// `data` carried by one message; sender and receiver cover the same
+/// chunk run, so both split it at the same word.  Messages, peers and
+/// word counts are those of the classic rotated-buffer Bruck.
 void build_bruck_allgather(RequestState& r, double* data,
                            const std::vector<i64>& off, int nparts,
                            int my_part,
                            const std::function<int(int)>& part_rank) {
   if (nparts <= 1) return;
-  // Rotated staging buffer: position q holds chunk (my_part + q) % nparts.
-  std::vector<i64> pos(static_cast<std::size_t>(nparts) + 1, 0);
-  for (int q = 0; q < nparts; ++q) {
-    pos[static_cast<std::size_t>(q) + 1] =
-        pos[static_cast<std::size_t>(q)] +
-        chunk_size(off, (my_part + q) % nparts);
-  }
-  r.rot.resize(static_cast<std::size_t>(pos.back()));
-  double* rot = r.rot.data();
-
-  {
-    const i64 my_off = off[static_cast<std::size_t>(my_part)];
-    const i64 my_words = chunk_size(off, my_part);
-    r.steps.push_back({Step::Kind::Local, -1, nullptr, 0,
-                       [data, rot, my_off, my_words] {
-                         std::copy_n(data + my_off, my_words, rot);
-                       }});
-  }
+  // The step moving `count` chunks starting at chunk `first` (mod nparts).
+  const auto run_step = [&](Step::Kind kind, int peer, int first,
+                            int count) {
+    const int last = first + count;  // exclusive, may exceed nparts
+    const int head_end = std::min(last, nparts);
+    const i64 at = off[static_cast<std::size_t>(first)];
+    Step st{kind, peer, data + at,
+            off[static_cast<std::size_t>(head_end)] - at, {}};
+    if (last > nparts) {
+      st.ptr2 = data;
+      st.len2 = off[static_cast<std::size_t>(last - nparts)];
+    }
+    r.steps.push_back(std::move(st));
+  };
 
   for (i64 s = 1; s < nparts; s <<= 1) {
     const int blocks = static_cast<int>(std::min<i64>(s, nparts - s));
     const int dst_part =
         static_cast<int>((my_part - s % nparts + nparts) % nparts);
     const int src_part = static_cast<int>((my_part + s) % nparts);
-    const i64 send_words = pos[static_cast<std::size_t>(blocks)];
-    const i64 recv_at = pos[static_cast<std::size_t>(s)];
-    const i64 recv_words = pos[static_cast<std::size_t>(s) + blocks] - recv_at;
-    r.steps.push_back(
-        {Step::Kind::Send, part_rank(dst_part), rot, send_words, {}});
-    r.steps.push_back(
-        {Step::Kind::Recv, part_rank(src_part), rot + recv_at, recv_words,
-         {}});
+    run_step(Step::Kind::Send, part_rank(dst_part), my_part, blocks);
+    run_step(Step::Kind::Recv, part_rank(src_part), src_part, blocks);
   }
-
-  // Un-rotate back into chunk order.
-  r.steps.push_back(
-      {Step::Kind::Local, -1, nullptr, 0,
-       [data, rot, off, pos, my_part, nparts] {
-         for (int q = 0; q < nparts; ++q) {
-           const int g = (my_part + q) % nparts;
-           std::copy_n(rot + pos[static_cast<std::size_t>(q)],
-                       off[static_cast<std::size_t>(g) + 1] -
-                           off[static_cast<std::size_t>(g)],
-                       data + off[static_cast<std::size_t>(g)]);
-         }
-       }});
 }
 
 }  // namespace

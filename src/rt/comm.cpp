@@ -62,48 +62,56 @@ FailureProbe child_failure_probe() noexcept {
   return failure_probe_slot().load(std::memory_order_relaxed);
 }
 
-void send_now(CommState& s, int dest, int tag, std::span<const double> data) {
+void send_now(CommState& s, int dest, int tag, std::span<const double> data,
+              std::span<const double> tail) {
   charge_flops_now(s);
   World& w = *s.world;
   const int me_world = world_rank_of(s);
+  const std::size_t words = data.size() + tail.size();
   auto& me = w.ranks[static_cast<std::size_t>(me_world)].tally;
   me.msgs += 1;
-  me.words += static_cast<i64>(data.size());
-  me.time += w.machine.alpha +
-             static_cast<double>(data.size()) * w.machine.beta;
+  me.words += static_cast<i64>(words);
+  me.time += w.machine.alpha + static_cast<double>(words) * w.machine.beta;
 
   Message msg;
   msg.ctx = s.ctx;
   msg.src_world = me_world;
   msg.tag = tag;
   msg.arrival = me.time;
+  msg.payload.reserve(words);
   msg.payload.assign(data.begin(), data.end());
+  msg.payload.insert(msg.payload.end(), tail.begin(), tail.end());
 
   const int dest_world = s.members[static_cast<std::size_t>(dest)];
   if (obs::trace_on()) {
     obs::instant(w.transport->name(), "post",
                  {{"dst", static_cast<double>(dest_world)},
-                  {"words", static_cast<double>(data.size())}});
+                  {"words", static_cast<double>(words)}});
   }
   w.transport->post(me_world, dest_world, std::move(msg));
 }
 
-bool try_recv_now(CommState& s, int src, int tag, std::span<double> data) {
+bool try_recv_now(CommState& s, int src, int tag, std::span<double> data,
+                  std::span<double> tail) {
   charge_flops_now(s);
   World& w = *s.world;
   const int src_world = s.members[static_cast<std::size_t>(src)];
   const int me_world = world_rank_of(s);
+  const std::size_t words = data.size() + tail.size();
 
   Message msg;
   if (!w.transport->match(me_world, s.ctx, src_world, tag, msg)) return false;
-  ensure<CommError>(msg.payload.size() == data.size(),
-                    "recv: size mismatch: expected ", data.size(), " got ",
+  ensure<CommError>(msg.payload.size() == words,
+                    "recv: size mismatch: expected ", words, " got ",
                     msg.payload.size());
-  std::copy(msg.payload.begin(), msg.payload.end(), data.begin());
+  const auto split =
+      msg.payload.begin() + static_cast<std::ptrdiff_t>(data.size());
+  std::copy(msg.payload.begin(), split, data.begin());
+  std::copy(split, msg.payload.end(), tail.begin());
   if (obs::trace_on()) {
     obs::instant(w.transport->name(), "match",
                  {{"src", static_cast<double>(src_world)},
-                  {"words", static_cast<double>(data.size())}});
+                  {"words", static_cast<double>(words)}});
   }
   auto& me = w.ranks[static_cast<std::size_t>(me_world)].tally;
   me.time = std::max(me.time, msg.arrival);

@@ -114,12 +114,16 @@ int next_internal_tag(CommState& s);
 // alpha/beta/clock at execution, a successful try-receive jumps the clock
 // to the arrival stamp.  Both drain pending kernel flops first.
 
-/// Eager buffered send: never blocks.
-void send_now(CommState& s, int dest, int tag, std::span<const double> data);
+/// Eager buffered send of `data` followed by `tail` as one message: never
+/// blocks.
+void send_now(CommState& s, int dest, int tag, std::span<const double> data,
+              std::span<const double> tail = {});
 
 /// Nonblocking receive: delivers and charges the first queued message
 /// matching (ctx, src, tag) and returns true, or returns false untouched.
-bool try_recv_now(CommState& s, int src, int tag, std::span<double> data);
+/// The payload fills `data`, then `tail`.
+bool try_recv_now(CommState& s, int src, int tag, std::span<double> data,
+                  std::span<double> tail = {});
 
 // ------------------------------------------------------- request engine
 
@@ -136,17 +140,21 @@ struct Step {
   /// reduction accumulate of allreduce).  Local work charges nothing,
   /// exactly as in the blocking schedules.
   std::function<void()> local;
+  /// Optional second payload segment: one message carries [ptr, ptr+len)
+  /// followed by [ptr2, ptr2+len2) (the wrap-around steps of the in-place
+  /// Bruck allgather).  Charged as a single message of len + len2 words.
+  double* ptr2 = nullptr;
+  i64 len2 = 0;
 };
 
 /// An in-flight collective: its schedule plus owned scratch.  The steps
-/// hold raw pointers into `tmp`/`rot` and the caller's buffer, so neither
-/// may be resized after the schedule is built, and the caller's buffer
-/// must stay alive until completion.
+/// hold raw pointers into `tmp` and the caller's buffer, so `tmp` may not
+/// be resized after the schedule is built, and the caller's buffer must
+/// stay alive until completion.
 struct RequestState {
   std::shared_ptr<CommState> comm;
   int tag = 0;
   std::vector<double> tmp;  ///< reduction / fold scratch (allreduce)
-  std::vector<double> rot;  ///< Bruck rotated staging
   std::vector<Step> steps;
   std::size_t next = 0;  ///< first unexecuted step
   bool registered = false;

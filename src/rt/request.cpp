@@ -73,14 +73,16 @@ bool advance_request(RequestState& r) {
       switch (s.kind) {
         case Step::Kind::Send:
           send_now(*r.comm, s.peer, r.tag,
-                   {s.ptr, static_cast<std::size_t>(s.len)});
+                   {s.ptr, static_cast<std::size_t>(s.len)},
+                   {s.ptr2, static_cast<std::size_t>(s.len2)});
           break;
         case Step::Kind::Local:
           if (s.local) s.local();
           break;
         case Step::Kind::Recv:
           if (!try_recv_now(*r.comm, s.peer, r.tag,
-                            {s.ptr, static_cast<std::size_t>(s.len)})) {
+                            {s.ptr, static_cast<std::size_t>(s.len)},
+                            {s.ptr2, static_cast<std::size_t>(s.len2)})) {
             return false;
           }
           if (s.local) s.local();

@@ -4,16 +4,22 @@
 ///        the modeled clock), concurrent requests must complete out of
 ///        order (even rank-dependent order) without deadlock, and progress
 ///        must advance an in-flight collective underneath local work.
+///        Large collectives in flight together must not share staging, and
+///        repeated factorize calls must not grow the gather's.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <stdexcept>
 #include <vector>
 
+#include "cacqr/core/factorize.hpp"
 #include "cacqr/lin/blas.hpp"
+#include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/matrix.hpp"
 #include "cacqr/lin/util.hpp"
+#include "cacqr/obs/metrics.hpp"
 #include "cacqr/rt/comm.hpp"
 #include "cacqr/support/rng.hpp"
 
@@ -386,6 +392,88 @@ TEST(RequestTest, RequestsOnSubCommunicators) {
     rs.wait();
     EXPECT_DOUBLE_EQ(v[0], 4.0);
     EXPECT_DOUBLE_EQ(w[0], 28.0);
+  });
+}
+
+TEST(RequestTest, LargeAllgathersAndBcastInFlightTogether) {
+  // Three large allgathers and a bcast in flight on every rank at once,
+  // waited out of order.  Each Bruck schedule runs in place on its own
+  // output buffer, so no two may share staging: contents must arrive
+  // intact and raw tallies must equal back-to-back blocking calls.
+  // P = 4 and 5 take wrap-around (two-segment) steps, and the bcast
+  // length is ragged at every P.
+  const std::size_t block = std::size_t{1} << 15;
+  const std::size_t sizes[3] = {block, block + 3, 2 * block + 1};
+  const std::size_t bcast_n = 3 * block + 7;
+  for (const int p : {3, 4, 5}) {
+    const int root = p - 2;
+    auto body = [&](Comm& c, std::vector<double>& d, bool in_flight) {
+      std::vector<std::vector<double>> mine(3);
+      std::vector<std::vector<double>> all(3);
+      for (std::size_t k = 0; k < 3; ++k) {
+        mine[k] = payload(c.rank(), sizes[k], 201 + k);
+        all[k].assign(sizes[k] * static_cast<std::size_t>(p), -1.0);
+      }
+      std::vector<double> bc = c.rank() == root
+                                   ? payload(root, bcast_n, 204)
+                                   : std::vector<double>(bcast_n, -1.0);
+      if (in_flight) {
+        Request r0 = c.start_allgather(mine[0], all[0]);
+        Request rb = c.start_bcast(bc, root);
+        Request r1 = c.start_allgather(mine[1], all[1]);
+        Request r2 = c.start_allgather(mine[2], all[2]);
+        r1.wait();
+        rb.wait();
+        r2.wait();
+        r0.wait();
+      } else {
+        c.allgather(mine[0], all[0]);
+        c.bcast(bc, root);
+        c.allgather(mine[1], all[1]);
+        c.allgather(mine[2], all[2]);
+      }
+      for (std::size_t k = 0; k < 3; ++k) {
+        for (int r = 0; r < p; ++r) {
+          const std::vector<double> want = payload(r, sizes[k], 201 + k);
+          EXPECT_TRUE(std::equal(
+              want.begin(), want.end(),
+              all[k].begin() + static_cast<std::ptrdiff_t>(sizes[k]) * r))
+              << "allgather " << k << " chunk " << r << " p=" << p;
+        }
+      }
+      EXPECT_EQ(bc, payload(root, bcast_n, 204)) << "p=" << p;
+      d.clear();  // checked in place: too large to publish over shm
+    };
+    auto blocking = run_p(p, 1, 200, [&](Comm& c, std::vector<double>& d) {
+      body(c, d, false);
+    });
+    auto flying = run_p(p, 1, 200, [&](Comm& c, std::vector<double>& d) {
+      body(c, d, true);
+    });
+    for (int r = 0; r < p; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      EXPECT_EQ(blocking.counters[i].msgs, flying.counters[i].msgs);
+      EXPECT_EQ(blocking.counters[i].words, flying.counters[i].words);
+      EXPECT_EQ(blocking.counters[i].flops, flying.counters[i].flops);
+    }
+  }
+}
+
+TEST(RequestTest, RepeatedFactorizeGrowsNoStaging) {
+  // The gather staging grows on the first call of a shape only: later
+  // same-shape factorize calls must reuse it, or every call pays fresh
+  // page faults again.
+  Runtime::run(4, [](Comm& world) {
+    const lin::Matrix a = lin::hashed_matrix(131, 4096, 64);
+    (void)core::factorize(a, world);
+    world.barrier();  // every rank's first-call growth is done
+    const obs::Counter& grows =
+        obs::Registry::global().counter("dist.staging.allocations");
+    const u64 grows0 = grows.value();
+    world.barrier();  // nobody grows before every rank has read
+    for (int i = 0; i < 3; ++i) (void)core::factorize(a, world);
+    world.barrier();
+    EXPECT_EQ(grows.value(), grows0);
   });
 }
 
