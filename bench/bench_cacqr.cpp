@@ -68,7 +68,6 @@
 
 #include "cacqr/baseline/pgeqrf_2d.hpp"
 #include "cacqr/core/ca_cqr.hpp"
-#include "cacqr/core/cqr_1d.hpp"
 #include "cacqr/core/factorize.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/kernel.hpp"
@@ -87,14 +86,13 @@ double now_seconds() {
 
 /// One sweep point: which algorithm on which process grid.
 struct Config {
-  std::string algo;  ///< "cqr_1d" | "ca_cqr" | "pgeqrf_2d"
+  std::string algo;  ///< "ca_cqr" | "pgeqrf_2d"
   int p = 0;         ///< total ranks
   int c = 0, d = 0;  ///< ca_cqr tunable grid
   int pr = 0, pc = 0;
   i64 block = 0;     ///< pgeqrf_2d grid / panel width
 
   [[nodiscard]] std::string grid() const {
-    if (algo == "cqr_1d") return "p" + std::to_string(p);
     if (algo == "ca_cqr") {
       return "c" + std::to_string(c) + "d" + std::to_string(d);
     }
@@ -103,7 +101,6 @@ struct Config {
   }
 
   [[nodiscard]] bool fits(i64 m, i64 n) const {
-    if (algo == "cqr_1d") return m % p == 0;
     if (algo == "ca_cqr") {
       return m % d == 0 && n % c == 0 && n >= i64{c} * c;
     }
@@ -397,15 +394,13 @@ int main(int argc, char** argv) {
   }
   const int reps = quick ? 2 : 3;
 
-  // Grids: 4- and 8-rank instances of each algorithm family.  cqr_1d is
-  // Algorithm 6 (1D grid), ca_cqr Algorithm 8 on the tunable c x d x c
-  // grid (c=1 degenerates to 1D with the CFR3D factorization; c=2 is a
-  // genuine cube with MM3D/transpose3d on the critical path), pgeqrf_2d
-  // the ScaLAPACK-style 2D Householder baseline.
+  // Grids: 4- and 8-rank instances of each algorithm family.  ca_cqr is
+  // Algorithm 8 on the tunable c x d x c grid (c=1 is Algorithm 6, the
+  // 1D pass; c=2 is a genuine cube with MM3D/transpose3d on the critical
+  // path), pgeqrf_2d the ScaLAPACK-style 2D Householder baseline.
   const std::vector<Config> configs = {
-      {.algo = "cqr_1d", .p = 4},
-      {.algo = "cqr_1d", .p = 8},
       {.algo = "ca_cqr", .p = 4, .c = 1, .d = 4},
+      {.algo = "ca_cqr", .p = 8, .c = 1, .d = 8},
       {.algo = "ca_cqr", .p = 8, .c = 2, .d = 2},
       {.algo = "pgeqrf_2d", .p = 4, .pr = 4, .pc = 1, .block = 16},
       {.algo = "pgeqrf_2d", .p = 8, .pr = 4, .pc = 2, .block = 16},
@@ -438,19 +433,7 @@ int main(int argc, char** argv) {
       for (const int t : thread_counts) {
         for (const Precision prec : precisions) {
           Point pt;
-          if (cfg.algo == "cqr_1d") {
-            pt = measure(
-                cfg, m, n, t, reps,
-                [&](rt::Comm& world, const lin::Matrix& a)
-                    -> std::function<void()> {
-                  auto da = std::make_shared<dist::DistMatrix>(
-                      dist::DistMatrix::from_global(a, world.size(), 1,
-                                                    world.rank(), 0));
-                  return [da, &world, prec] {
-                    (void)core::cqr_1d(*da, world, prec);
-                  };
-                });
-          } else if (cfg.algo == "ca_cqr") {
+          if (cfg.algo == "ca_cqr") {
             pt = measure(
                 cfg, m, n, t, reps,
                 [&, c = cfg.c,

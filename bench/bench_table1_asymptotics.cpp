@@ -59,8 +59,8 @@ int main() {
   // scales away but the redundant n^3 term does not.
   {
     const double m = 1 << 26, n = 1 << 10;
-    const Cost a = model::cost_cqr2_1d(m, n, 64);
-    const Cost b = model::cost_cqr2_1d(m, n, 4096);
+    const Cost a = model::cost_ca_cqr2(m, n, 1, 64);
+    const Cost b = model::cost_ca_cqr2(m, n, 1, 4096);
     const double f = 64.0;
     t.row({"1D-CQR2", "beta", TextTable::num(slope(a.beta, b.beta, f), 3),
            "0 (n^2, P-independent)"});

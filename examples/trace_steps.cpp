@@ -9,7 +9,6 @@
 
 #include "cacqr/chol/cfr3d.hpp"
 #include "cacqr/core/ca_cqr.hpp"
-#include "cacqr/core/cqr_1d.hpp"
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/factor.hpp"
 #include "cacqr/lin/generate.hpp"

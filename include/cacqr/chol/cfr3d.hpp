@@ -21,6 +21,8 @@
 /// picks n0 = n / P^(2/3) to minimize bandwidth, which is the default
 /// here (clamped to keep every recursion level divisible by the grid).
 
+#include <optional>
+
 #include "cacqr/dist/dist_matrix.hpp"
 
 namespace cacqr::chol {
@@ -55,8 +57,12 @@ struct Cfr3dResult {
 /// [L, Y] <- CFR3D(A): see file comment.  Throws NotSpdError if A is not
 /// numerically positive definite (all ranks throw consistently, since the
 /// base-case factorization is computed redundantly from identical data).
+/// `tol` is the breakdown threshold of every base-case lin::potrf; by
+/// default each base case takes lin::breakdown_threshold of the block it
+/// factors, a leading block or a Schur complement (DESIGN.md section 9).
 [[nodiscard]] Cfr3dResult cfr3d(const dist::DistMatrix& a,
                                 const grid::CubeGrid& g,
-                                Cfr3dOptions opts = {});
+                                Cfr3dOptions opts = {},
+                                std::optional<double> tol = std::nullopt);
 
 }  // namespace cacqr::chol

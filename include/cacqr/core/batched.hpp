@@ -11,16 +11,17 @@
 /// slab at a fixed offset and a single Allreduce sums the concatenation.
 ///
 /// Bitwise contract: every panel's Q/R are byte-identical to the same
-/// panel run standalone through `factorize` on the cqr_1d plan.  This
+/// panel run standalone through `factorize` on the c = 1 grid.  This
 /// holds because the Allreduce schedule (recursive-halving reduce-scatter
 /// + Bruck allgather, src/rt/collectives.cpp) pairs RANKS, not elements:
 /// the per-element summation tree has the same shape at every offset of
 /// any payload, the keeper/sender role swap only commutes IEEE additions
 /// (bitwise-safe), and everything outside the Allreduce is per-panel
-/// local arithmetic executed by the same thread at the same budget.  The
-/// standalone driver delegates to a batch of one, so the two paths are
-/// literally the same code; tests/serve/test_batched.cpp asserts the
-/// byte-equality across budgets x overlap x precision.
+/// local arithmetic executed by the same thread at the same budget.  At
+/// c = 1 the standalone driver's ca_cqr runs the same 1D pass as a batch
+/// of one, so the two paths are literally the same code;
+/// tests/serve/test_batched.cpp and tests/core/test_driver_identity.cpp
+/// assert the byte-equality across budgets x overlap x precision.
 
 #include <exception>
 #include <span>
@@ -37,7 +38,9 @@ namespace cacqr::core {
 struct BatchedOptions {
   int passes = 2;          ///< 1 = CQR, 2 = CQR2, 3 = shifted CQR3 per panel
   bool auto_shift = true;  ///< NotSpd panels retry shifted CholeskyQR3
-  i64 base_case = 0;       ///< forwarded to the shifted fallback
+  i64 base_case = 0;       ///< has no effect: the sweep and its shifted
+                           ///< fallback run on the c = 1 grid, which
+                           ///< has no CFR3D recursion to steer
   Precision precision = Precision::fp64;
 };
 
@@ -51,9 +54,9 @@ struct BatchedItem {
 };
 
 /// Factors each panel (m_i x n_i, m_i >= n_i >= 1) over the full
-/// communicator exactly like the standalone cqr_1d driver, but with the
-/// per-pass Gram Allreduces of the whole batch fused into one collective.
-/// Panels may differ in shape; they must share `opts`.  Collective: every
+/// communicator exactly like the standalone driver on the c = 1 grid,
+/// but with the per-pass Gram Allreduces of the whole batch fused into
+/// one collective.  Panels may differ in shape; they must share `opts`.  Collective: every
 /// rank passes the same panel sequence.  A panel whose Cholesky breaks
 /// down (NotSpdError) is isolated: with auto_shift it reruns through the
 /// shifted CholeskyQR3 path after the sweep (used_shift = true),

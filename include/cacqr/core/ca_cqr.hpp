@@ -15,9 +15,11 @@
 ///   8.   each subcube multiplies its (m c/d) x n row-panel of A by
 ///        R^{-1} with MM3D -- no communication crosses subcube boundaries.
 ///
-/// With c = 1 this is exactly 1D-CQR (local Syrk + one Allreduce +
-/// redundant factorization + local triangular multiply); with c = d =
-/// P^(1/3) it is the full 3D algorithm.  The c knob trades the paper's
+/// With c = 1 this is exactly 1D-CQR (paper Algorithms 6-7: local Syrk +
+/// one Allreduce + redundant factorization + local triangular multiply),
+/// and ca_cqr runs it as the library's one 1D pass, the same code the
+/// batched sweep (batched.hpp) runs; with c = d = P^(1/3) it is the full
+/// 3D algorithm.  The c knob trades the paper's
 /// Table I costs: alpha ~ c^2 log P, beta ~ mn/(dc) + n^2/c^2,
 /// gamma ~ mn^2/(dc^2) + n^3/c^3, memory ~ mn/(dc) + n^2/c^2.
 
@@ -28,6 +30,8 @@ namespace cacqr::core {
 
 struct CaCqrOptions {
   /// CFR3D base-case dimension (0 = paper default n/c^2; see cfr3d.hpp).
+  /// Ignored at c == 1, where the whole Gram is factored by one
+  /// redundant sequential CholInv.
   i64 base_case = 0;
   /// Value added to the Gram matrix diagonal before factorization
   /// (shifted CholeskyQR; see shifted.hpp for the recommended magnitude).
@@ -78,15 +82,18 @@ struct CaCqrResult {
     Precision gram_precision = Precision::fp64);
 
 /// Algorithm 8: one CA-CholeskyQR pass.  Throws NotSpdError when the
-/// (shifted) Gram matrix is not numerically SPD; every rank throws
-/// consistently because the factorization inputs are replicated.
+/// (shifted) Gram matrix is not numerically SPD (the pivot criterion of
+/// lin::potrf); every rank throws consistently because the factorization
+/// inputs are replicated.
 /// Preconditions: `a` distributed over `g` (rows over d, columns over c),
 /// m >= n, d | m, c | n, and n >= c^2 for the CFR3D base case.  Charge:
 /// ca_gram + CFR3D on the subcube + 2 Transpose(n^2/c^2) + the Q = A
 /// R^{-1} multiply (one MM3D of the (m c/d) x n panel when inverse_depth
 /// == 0, the block_backsolve sweep otherwise); Table I totals
 /// alpha ~ c^2 log P, beta ~ mn/(dc) + n^2/c^2, gamma ~ mn^2/(dc^2) +
-/// n^3/c^3.
+/// n^3/c^3.  At c == 1 the charge is the 1D pass's: Allreduce(n^2, d)
+/// plus the local Gram, the redundant CholInv and the local triangular
+/// multiply, with no Transpose.
 [[nodiscard]] CaCqrResult ca_cqr(const dist::DistMatrix& a,
                                  const grid::TunableGrid& g,
                                  CaCqrOptions opts = {});

@@ -21,8 +21,9 @@
 ///     (c = (Pn/m)^(1/3)) on the CA-CQR family -- exactly the historical
 ///     behavior, bit for bit, with no extra communication.
 ///   * `model`: the tune:: planner scores every valid configuration of
-///     all three variants (1D-CQR2, CA-CQR2 grids, the PGEQRF baseline)
-///     against a calibrated MachineProfile and the best is executed.
+///     both families (CA-CQR2 grids, c = 1 being 1D-CQR2, and the PGEQRF
+///     baseline) against a calibrated MachineProfile and the best is
+///     executed.
 ///   * `measured`: like `model`, then the top-k candidates are trial-run
 ///     on the actual input through this communicator (timings agreed
 ///     across ranks by one Allreduce per candidate, so every rank picks
@@ -91,8 +92,8 @@ struct FactorizeOptions {
 struct FactorizeResult {
   lin::Matrix q;  ///< m x n, gathered on every rank
   lin::Matrix r;  ///< n x n upper triangular, gathered on every rank
-  std::string algo = "ca_cqr";  ///< "cqr_1d" | "ca_cqr" | "pgeqrf_2d"
-  int c = 1;      ///< CA-CQR grid actually used (c=1, d=P for cqr_1d)
+  std::string algo = "ca_cqr";  ///< "ca_cqr" | "pgeqrf_2d"
+  int c = 1;      ///< CA-CQR grid actually used (c=1, d=P is 1D-CQR2)
   int d = 1;
   int pr = 0;     ///< PGEQRF grid (0 unless algo == "pgeqrf_2d")
   int pc = 0;

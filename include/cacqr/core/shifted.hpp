@@ -10,7 +10,9 @@
 /// diagonal, making the first factorization succeed for kappa up to
 /// ~eps^{-1}; the resulting Q1 has kappa(Q1) <~ eps^{-1/2}, so a regular
 /// CholeskyQR2 finishes the job with Householder-level orthogonality.
-/// Total: three passes (CQR3).
+/// Total: three passes (CQR3).  The two passes after the shifted one
+/// have no fallback left, so they break down only on a pivot that is
+/// not positive, not at lin::breakdown_threshold (DESIGN.md section 9).
 
 #include "cacqr/core/ca_cqr.hpp"
 #include "cacqr/core/cqr.hpp"

@@ -95,9 +95,6 @@ struct Cost {
 [[nodiscard]] Cost cost_block_backsolve(double m, double n, double nblocks,
                                         double g);
 
-/// 1D-CQR2 (Algorithm 7) on p ranks (== cost_ca_cqr2(m, n, 1, p)).
-[[nodiscard]] Cost cost_cqr2_1d(double m, double n, double p);
-
 /// ScaLAPACK-style PGEQRF on a pr x pc grid with block size b, including
 /// explicit Q formation (what the strong/weak scaling benches model).
 [[nodiscard]] Cost cost_pgeqrf_2d(double m, double n, double pr, double pc,

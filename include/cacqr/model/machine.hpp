@@ -6,7 +6,8 @@
 /// Waters (Cray XE + Gemini).  Parameters here are per-RANK: node peak is
 /// divided by ranks-per-node and scaled by a sustained-fraction, node
 /// injection bandwidth is shared across the ranks of a node.  Absolute
-/// numbers are calibrations (documented in EXPERIMENTS.md); what the
+/// numbers are calibrations (notes in machine.cpp; their use as the
+/// modeled clock in docs/benchmarks.md); what the
 /// reproduction relies on is the machines' flops-to-bandwidth ratio,
 /// which the paper reports as ~8x higher on Stampede2 -- the property
 /// that makes communication avoidance pay off there.

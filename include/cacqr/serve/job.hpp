@@ -45,9 +45,10 @@ enum class JobStatus { queued, running, done, failed, rejected };
 
 /// Per-job factorization options: the FactorizeOptions subset a service
 /// job can carry, plus its admission class.  Jobs agreeing on
-/// (cols, precision, passes, auto_shift, base_case) and eligible for the
-/// batched lane (see FactorizeService) may be micro-batched together;
-/// the kernel variant needs no key because it is process-wide.
+/// (cols, precision, passes, auto_shift) and eligible for the batched
+/// lane (see FactorizeService) may be micro-batched together; the kernel
+/// variant needs no key because it is process-wide, and base_case none
+/// because the batched lane runs on the c = 1 grid, which ignores it.
 struct JobOptions {
   int passes = 2;
   bool auto_shift = true;
@@ -64,7 +65,7 @@ struct JobOptions {
 struct JobResult {
   lin::Matrix q;
   lin::Matrix r;
-  std::string algo;          ///< "cqr_1d" (batched lane) or the driver's pick
+  std::string algo;          ///< the driver's pick ("ca_cqr" on the batched lane)
   bool used_shift = false;
   bool batched = false;      ///< executed inside a micro-batch of > 1 jobs
   std::size_t batch_size = 1;

@@ -10,11 +10,12 @@
 /// condition.  The planner makes that tuning a first-class, cacheable
 /// artifact:
 ///
-///   candidates(key) -> every valid configuration across all three
-///     variant families, sorted by modeled time ascending:
-///       * cqr_1d      -- 1D-CholeskyQR2 on all P ranks (Algorithm 7);
+///   candidates(key) -> every valid configuration across both variant
+///     families, sorted by modeled time ascending:
 ///       * ca_cqr2     -- every valid (c, d) tunable grid (c^2 d = P,
-///                       c | d), Algorithm 9;
+///                       c | d), Algorithm 9; c = 1 is 1D-CholeskyQR2
+///                       on all P ranks (Algorithm 7) and is always a
+///                       candidate;
 ///       * pgeqrf_2d   -- the ScaLAPACK-style baseline over power-of-two
 ///                       pr splits and block sizes {16, 32, 64}.
 ///   plan(key) -> candidates(key).front().
@@ -61,7 +62,7 @@ struct Plan {
   /// under); v2 cache files are ignored by the loader.
   static constexpr int kSchemaVersion = 3;
 
-  std::string algo;     ///< "cqr_1d" | "ca_cqr2" | "pgeqrf_2d"
+  std::string algo;     ///< "ca_cqr2" | "pgeqrf_2d"
   int c = 0, d = 0;     ///< ca_cqr2 tunable grid
   int pr = 0, pc = 0;   ///< pgeqrf_2d process grid
   i64 block = 0;        ///< pgeqrf_2d panel width
@@ -81,7 +82,7 @@ struct Plan {
   Precision precision = Precision::fp64;
 
   /// Human-readable grid tag matching bench_cacqr's convention
-  /// ("p8", "c2d2", "4x2b16").
+  /// ("c1d8", "c2d2", "4x2b16").
   [[nodiscard]] std::string grid() const;
 
   [[nodiscard]] support::Json to_json() const;

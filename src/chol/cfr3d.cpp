@@ -19,14 +19,14 @@ i64 effective_base_case(i64 n, int g, i64 requested) {
 namespace {
 
 Cfr3dResult cfr3d_rec(const DistMatrix& a, const grid::CubeGrid& grid,
-                      i64 n0, int inverse_depth) {
+                      i64 n0, int inverse_depth, std::optional<double> tol) {
   const i64 n = a.rows();
 
   if (n <= n0) {
     // Base case (Algorithm 3 lines 2-3): allgather the submatrix over the
     // slice, factor redundantly, keep the local cyclic pieces.
     lin::Matrix t = dist::gather(a, grid.slice());
-    auto seq = lin::cholinv(t);
+    auto seq = lin::cholinv(t, tol);
     return {DistMatrix::from_global_on_cube(seq.l, grid),
             DistMatrix::from_global_on_cube(seq.l_inv, grid)};
   }
@@ -37,7 +37,7 @@ Cfr3dResult cfr3d_rec(const DistMatrix& a, const grid::CubeGrid& grid,
   DistMatrix a21 = a.quadrant(1, 0);
 
   const int child_depth = inverse_depth > 0 ? inverse_depth - 1 : 0;
-  Cfr3dResult top = cfr3d_rec(a11, grid, n0, child_depth);
+  Cfr3dResult top = cfr3d_rec(a11, grid, n0, child_depth, tol);
 
   // Line 6-7: W = Y11^T;  L21 = A21 * W.  With a partial inverse Y11 is
   // block diagonal, so L21 = A21 L11^{-T} is recovered by the generic
@@ -60,7 +60,7 @@ Cfr3dResult cfr3d_rec(const DistMatrix& a, const grid::CubeGrid& grid,
   }
 
   // Line 11: recurse on the Schur complement.
-  Cfr3dResult bottom = cfr3d_rec(z, grid, n0, child_depth);
+  Cfr3dResult bottom = cfr3d_rec(z, grid, n0, child_depth, tol);
 
   // Assemble [L11 0; L21 L22]; Y gets its off-diagonal block (lines
   // 12-14) only below the requested inverse depth.
@@ -85,7 +85,7 @@ Cfr3dResult cfr3d_rec(const DistMatrix& a, const grid::CubeGrid& grid,
 }  // namespace
 
 Cfr3dResult cfr3d(const DistMatrix& a, const grid::CubeGrid& g,
-                  Cfr3dOptions opts) {
+                  Cfr3dOptions opts, std::optional<double> tol) {
   ensure_dim(a.rows() == a.cols(), "cfr3d: matrix must be square");
   ensure_dim(a.layout().row_procs == g.g() && a.layout().col_procs == g.g(),
              "cfr3d: operand not distributed over this grid");
@@ -95,7 +95,7 @@ Cfr3dResult cfr3d(const DistMatrix& a, const grid::CubeGrid& g,
   int max_depth = 0;
   for (i64 lv = a.rows(); lv > n0; lv /= 2) ++max_depth;
   const int depth = std::min(opts.inverse_depth, max_depth);
-  return cfr3d_rec(a, g, n0, depth);
+  return cfr3d_rec(a, g, n0, depth, tol);
 }
 
 }  // namespace cacqr::chol

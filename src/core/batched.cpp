@@ -18,28 +18,9 @@ namespace cacqr::core {
 
 using dist::DistMatrix;
 
-namespace {
-
-/// Per-panel outcome of one batched pass: Q distributed like the input,
-/// R replicated, or the panel's NotSpdError.
-struct PassOut {
-  DistMatrix q;
-  lin::Matrix r;
-  bool ok = true;
-  std::exception_ptr error;
-};
-
-/// One batched 1D-CholeskyQR pass (paper Algorithm 6) over `panels`:
-/// cqr_1d() line for line, except the per-panel Gram Allreduces are fused
-/// into a single collective over the concatenated slab.  Per-element sums
-/// are unchanged by the concatenation (the schedule pairs ranks, never
-/// elements -- see batched.hpp), and everything else is per-panel local
-/// work by the same thread at the same budget, so each panel's output is
-/// bitwise identical to a standalone cqr_1d call.  NotSpdError is caught
-/// per panel (it is replicated by the Allreduce, so every rank records
-/// the same failure set); other errors propagate.
-std::vector<PassOut> batched_pass_1d(const std::vector<const DistMatrix*>& panels,
-                                     const rt::Comm& comm, bool f32_gram) {
+std::vector<detail::PassOut> detail::batched_pass_1d(
+    const std::vector<const DistMatrix*>& panels, const rt::Comm& comm,
+    bool f32_gram, double shift, std::optional<double> tol) {
   const std::size_t k = panels.size();
   std::vector<PassOut> out(k);
   if (k == 0) return out;  // consistent on every rank: no collective to run
@@ -59,9 +40,10 @@ std::vector<PassOut> batched_pass_1d(const std::vector<const DistMatrix*>& panel
   }
 
   // Line 1 per panel: local Gram contribution into the slab (fp64 writes
-  // the n x n block in place; the fp32 lane forms it in a MatrixF and
-  // copies the wire words -- same float values a standalone call would
-  // put on the wire, including the zeroed odd-tail pad lane).
+  // the n x n block in place; the fp32 lane narrows the panel, forms the
+  // Gram in a MatrixF through the fp32 kernel lane and copies its wire
+  // words, including the zeroed odd-tail pad lane).  beta == 0 overwrites
+  // every element, so the slab is uninitialized staging.
   lin::Matrix slab = lin::Matrix::uninit(static_cast<i64>(off[k]), 1);
   std::vector<lin::MatrixF> zf(f32_gram ? k : 0);
   for (std::size_t i = 0; i < k; ++i) {
@@ -81,8 +63,10 @@ std::vector<PassOut> batched_pass_1d(const std::vector<const DistMatrix*>& panel
   }
 
   // Line 2: ONE Allreduce for the whole batch -- 2 ceil(lg P) alpha total
-  // instead of per panel.  The staging copies of every panel overlap the
-  // flight exactly as in the standalone pass.
+  // instead of per panel.  With overlap on, the Q staging copy of every
+  // panel (the copy line 4 multiplies in place) is made while the sum
+  // flies, the copy chunks polling progress; overlap off completes it
+  // first, the blocking order.
   rt::Request gram_sum = f32_gram
       ? comm.start_allreduce_sum_f32(
             {slab.data(), static_cast<std::size_t>(slab.size())})
@@ -91,11 +75,11 @@ std::vector<PassOut> batched_pass_1d(const std::vector<const DistMatrix*>& panel
   if (rt::overlap_enabled()) {
     rt::ProgressScope scope(comm);
     for (std::size_t i = 0; i < k; ++i) {
-      const DistMatrix& a = *panels[i];
-      out[i].q = DistMatrix::uninit(a.rows(), a.cols(), comm.size(), 1,
-                                    comm.rank(), 0);
-      out[i].r = lin::Matrix(a.cols(), a.cols());
-      lin::copy(a.local(), out[i].q.local());
+      const dist::Layout& l = panels[i]->layout();
+      out[i].q = DistMatrix::uninit(l.rows, l.cols, l.row_procs,
+                                    l.col_procs, l.my_row, l.my_col);
+      out[i].r = lin::Matrix(l.cols, l.cols);
+      lin::copy(panels[i]->local(), out[i].q.local());
     }
   } else {
     gram_sum.wait();
@@ -106,14 +90,15 @@ std::vector<PassOut> batched_pass_1d(const std::vector<const DistMatrix*>& panel
   }
   gram_sum.wait();
 
-  // Lines 3-4 per panel: redundant CholInv and the local triangular
-  // multiply, with the per-panel NotSpd isolation.
+  // Lines 3-4 per panel: redundant CholInv (R^T = chol(Z), R^{-T} =
+  // L^{-1}) and the local triangular multiply Q_p = A_p R^{-1}, with the
+  // per-panel NotSpd isolation.
   for (std::size_t i = 0; i < k; ++i) {
     obs::SpanScope item_span("core", "batched_item");
     item_span.arg("item", static_cast<double>(i));
     const i64 n = panels[i]->cols();
     lin::Matrix z;
-    lin::ConstMatrixView zv{slab.data() + off[i], n, n, n};
+    lin::MatrixView zv{slab.data() + off[i], n, n, n};
     if (f32_gram) {
       const std::span<double> w = zf[i].wire();
       std::copy(slab.data() + off[i], slab.data() + off[i] + w.size(),
@@ -122,10 +107,16 @@ std::vector<PassOut> batched_pass_1d(const std::vector<const DistMatrix*>& panel
       lin::widen(zf[i], z);
       zv = z;
     }
+    if (shift != 0.0) {
+      for (i64 j = 0; j < n; ++j) zv(j, j) += shift;
+    }
     try {
-      auto li = lin::cholinv(zv);
+      auto li = lin::cholinv(zv, tol);
       lin::trmm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
                 lin::Diag::NonUnit, 1.0, li.l_inv, out[i].q.local());
+      // Transpose L into the returned upper-triangular R.  Deliberately
+      // sequential: the n^2/2-element extraction is noise next to the
+      // n^3/3 cholinv above.
       for (i64 j = 0; j < n; ++j) {
         for (i64 r = 0; r <= j; ++r) out[i].r(r, j) = li.l(j, r);
       }
@@ -137,16 +128,19 @@ std::vector<PassOut> batched_pass_1d(const std::vector<const DistMatrix*>& panel
   return out;
 }
 
+namespace {
+
+using detail::PassOut;
+
 /// The shifted CholeskyQR3 rerun for one padded panel -- byte-for-byte
-/// the fallback tail of the standalone driver's run_cqr_1d.
+/// the fallback tail of the standalone driver at c == 1.
 void run_shifted(const detail::Padded& padded, const rt::Comm& world,
-                 const BatchedOptions& opts, BatchedItem& item) {
+                 BatchedItem& item) {
   obs::SpanScope span("core", "shifted_rerun");
   span.arg("n", static_cast<double>(padded.n));
   grid::TunableGrid g(world, 1, world.size());
   DistMatrix da = DistMatrix::from_global_on_tunable(padded.a, g);
-  CaCqrResult fact =
-      ca_cqr3(da, g, {.base_case = opts.base_case, .shift = 0.0});
+  CaCqrResult fact = ca_cqr3(da, g);
   item.used_shift = true;
   item.q = detail::strip(dist::gather(fact.q, g.slice()), padded.m, padded.n);
   item.r = detail::strip(dist::gather(fact.r, g.subcube().slice()), padded.n,
@@ -197,9 +191,9 @@ std::vector<BatchedItem> factorize_batched(
       live_idx.push_back(i);
     }
     // Pass 1: `mixed` degenerates to the fp32 Gram when it is the only
-    // pass, exactly as cqr_1d treats any non-fp64 mode as the fp32 lane.
-    std::vector<PassOut> first =
-        batched_pass_1d(live, world, opts.precision != Precision::fp64);
+    // pass, exactly as ca_cqr treats any non-fp64 mode as the fp32 lane.
+    std::vector<PassOut> first = detail::batched_pass_1d(
+        live, world, opts.precision != Precision::fp64);
 
     auto fail = [&](std::size_t idx, std::exception_ptr err) {
       if (opts.auto_shift) {
@@ -232,8 +226,8 @@ std::vector<BatchedItem> factorize_batched(
           fail(live_idx[j], first[j].error);
         }
       }
-      std::vector<PassOut> second =
-          batched_pass_1d(live2, world, opts.precision == Precision::fp32);
+      std::vector<PassOut> second = detail::batched_pass_1d(
+          live2, world, opts.precision == Precision::fp32);
       for (std::size_t j2 = 0; j2 < live2_idx.size(); ++j2) {
         const std::size_t j = live2_idx[j2];
         if (!second[j2].ok) {
@@ -262,7 +256,7 @@ std::vector<BatchedItem> factorize_batched(
   // every rank): the broken panels pay their own full-fp64 CQR3 without
   // touching the batch's fast path.
   for (const std::size_t idx : pending_shift) {
-    run_shifted(padded[idx], world, opts, out[idx]);
+    run_shifted(padded[idx], world, out[idx]);
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #include "cacqr/chol/cfr3d.hpp"
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/blas_f.hpp"
+#include "internal.hpp"
 
 namespace cacqr::core {
 
@@ -119,7 +120,7 @@ DistMatrix ca_gram(const DistMatrix& a, const grid::TunableGrid& g,
   // overwrites everyone else).  Started before allocating line 5's
   // staging target (uninitialized -- the copy below overwrites it) so
   // the schedule's eager sends drain during the allocation; the real
-  // Gram-Allreduce overlap window is cqr_1d's staging copy.
+  // Gram-Allreduce overlap window is the 1D pass's staging copy.
   rt::Request gram_sum = g.ygroup_strided().start_allreduce_sum(span_of(xbuf));
   const auto& sub = g.subcube();
   DistMatrix zmat = DistMatrix::uninit(n, n, sub.g(), sub.g(),
@@ -135,8 +136,9 @@ DistMatrix ca_gram(const DistMatrix& a, const grid::TunableGrid& g,
   return zmat;
 }
 
-CaCqrResult ca_cqr(const DistMatrix& a, const grid::TunableGrid& g,
-                   CaCqrOptions opts) {
+CaCqrResult detail::ca_cqr(const DistMatrix& a, const grid::TunableGrid& g,
+                           const CaCqrOptions& opts,
+                           std::optional<double> tol) {
   check_tunable_layout(a, g);
   const int c = g.c();
   const int d = g.d();
@@ -144,6 +146,19 @@ CaCqrResult ca_cqr(const DistMatrix& a, const grid::TunableGrid& g,
   (void)z;
   const i64 m = a.rows();
   const i64 n = a.cols();
+
+  // c == 1 is 1D-CholeskyQR (Algorithm 6): the one 1D pass, as a batch of
+  // one over the d ranks of the column communicator (rank == y, the row
+  // class).  Its redundant CholInv has no recursion for base_case or
+  // inverse_depth to steer.  R comes back replicated, i.e. distributed
+  // over the 1 x 1 subcube slice.
+  if (c == 1) {
+    std::vector<detail::PassOut> pass = detail::batched_pass_1d(
+        {&a}, g.col(), opts.precision != Precision::fp64, opts.shift, tol);
+    if (!pass[0].ok) std::rethrow_exception(pass[0].error);
+    return {std::move(pass[0].q),
+            DistMatrix::from_global(pass[0].r, 1, 1, 0, 0)};
+  }
 
   // Lines 1-5: Gram matrix on the subcube slice (fp32 lane when this
   // pass's options ask for it; Cholesky and the Q update below are
@@ -163,41 +178,34 @@ CaCqrResult ca_cqr(const DistMatrix& a, const grid::TunableGrid& g,
 
   // Lines 6-7: CFR3D on the subcube gives R^T and R^{-T} (block diagonal
   // when inverse_depth > 0).
-  const int depth = c == 1 ? 0 : opts.inverse_depth;
   auto [rt_factor, rinv_t] = chol::cfr3d(
       zmat, g.subcube(),
-      {.base_case = opts.base_case, .inverse_depth = depth});
+      {.base_case = opts.base_case, .inverse_depth = opts.inverse_depth},
+      tol);
 
   // Materialize R and R^{-1} via the Transpose collective; the pair form
   // pipelines the two exchanges when overlap is on.
   auto [r, rinv] = dist::transpose3d_pair(rt_factor, rinv_t, g.subcube());
 
-  // Line 8: Q = A R^{-1}.
-  CaCqrResult out;
-  if (c == 1) {
-    // Each rank owns the whole upper-triangular R^{-1}: local triangular
-    // multiply, exactly Algorithm 6 line 4.
-    out.q = a;
-    lin::trmm(lin::Side::Right, lin::Uplo::Upper, lin::Trans::N,
-              lin::Diag::NonUnit, 1.0, rinv.local(), out.q.local());
-  } else {
-    // Present this subcube's (m c/d) x n row-panel of A in subcube
-    // coordinates; with a full inverse this is one MM3D, with a partial
-    // inverse the block back-substitution sweep (the InverseDepth
-    // strategy) -- either way no communication crosses subcubes.
-    DistMatrix a_panel =
-        a.reinterpret_layout(m * c / d, n, c, c, y % c, x);
-    // Match the depth CFR3D actually used after clamping.
-    int max_depth = 0;
-    const i64 n0 = chol::effective_base_case(n, c, opts.base_case);
-    for (i64 lv = n; lv > n0; lv /= 2) ++max_depth;
-    const i64 nblocks = i64(1) << std::min(depth, max_depth);
-    DistMatrix q_panel =
-        dist::block_backsolve(a_panel, r, rinv, nblocks, g.subcube());
-    out.q = q_panel.reinterpret_layout(m, n, d, c, y, x);
-  }
-  out.r = std::move(r);
-  return out;
+  // Line 8: Q = A R^{-1}.  Present this subcube's (m c/d) x n row-panel
+  // of A in subcube coordinates; with a full inverse this is one MM3D,
+  // with a partial inverse the block back-substitution sweep (the
+  // InverseDepth strategy) -- either way no communication crosses
+  // subcubes.
+  DistMatrix a_panel = a.reinterpret_layout(m * c / d, n, c, c, y % c, x);
+  // Match the depth CFR3D actually used after clamping.
+  int max_depth = 0;
+  const i64 n0 = chol::effective_base_case(n, c, opts.base_case);
+  for (i64 lv = n; lv > n0; lv /= 2) ++max_depth;
+  const i64 nblocks = i64(1) << std::min(opts.inverse_depth, max_depth);
+  DistMatrix q_panel =
+      dist::block_backsolve(a_panel, r, rinv, nblocks, g.subcube());
+  return {q_panel.reinterpret_layout(m, n, d, c, y, x), std::move(r)};
+}
+
+CaCqrResult ca_cqr(const DistMatrix& a, const grid::TunableGrid& g,
+                   CaCqrOptions opts) {
+  return detail::ca_cqr(a, g, opts, std::nullopt);
 }
 
 DistMatrix compose_r(const DistMatrix& r2, const DistMatrix& r1,
@@ -211,26 +219,33 @@ DistMatrix compose_r(const DistMatrix& r2, const DistMatrix& r1,
   return dist::mm3d(r2, r1, g.subcube());
 }
 
-CaCqrResult ca_cqr2(const DistMatrix& a, const grid::TunableGrid& g,
-                    CaCqrOptions opts) {
+CaCqrResult detail::ca_cqr2(const DistMatrix& a, const grid::TunableGrid& g,
+                            const CaCqrOptions& opts,
+                            std::optional<double> tol) {
   // Lines 1-2: two CA-CQR passes (the shift, if any, applies to the first
   // pass only; the second factors an already well-conditioned Q1).  An
   // fp32 Gram follows the same pattern: `mixed` confines it to the first
   // pass -- the fp64 second pass is the correction sweep that restores
   // fp64-level orthogonality -- while `fp32` keeps it for both.
-  CaCqrResult first = ca_cqr(a, g, opts);
+  CaCqrResult first = ca_cqr(a, g, opts, tol);
   CaCqrResult second =
       ca_cqr(first.q, g,
              {.base_case = opts.base_case, .shift = 0.0,
               .inverse_depth = opts.inverse_depth,
               .precision = opts.precision == Precision::fp32
                                ? Precision::fp32
-                               : Precision::fp64});
+                               : Precision::fp64},
+             tol);
   // Line 4: R = R2 * R1.
   CaCqrResult out;
   out.q = std::move(second.q);
   out.r = compose_r(second.r, first.r, g);
   return out;
+}
+
+CaCqrResult ca_cqr2(const DistMatrix& a, const grid::TunableGrid& g,
+                    CaCqrOptions opts) {
+  return detail::ca_cqr2(a, g, opts, std::nullopt);
 }
 
 }  // namespace cacqr::core

@@ -2,10 +2,13 @@
 
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/factor.hpp"
+#include "internal.hpp"
 
 namespace cacqr::core {
 
-QrFactors cqr(lin::ConstMatrixView a) {
+namespace {
+
+QrFactors cqr_pass(lin::ConstMatrixView a, std::optional<double> tol) {
   const i64 n = a.cols;
   ensure_dim(a.rows >= n, "cqr: requires m >= n");
 
@@ -14,7 +17,7 @@ QrFactors cqr(lin::ConstMatrixView a) {
   lin::gram(1.0, a, 0.0, w);
 
   // Line 2: R^T = chol(W) and R^{-T} = L^{-1} in one embedded recursion.
-  auto li = lin::cholinv(w);  // li.l == R^T, li.l_inv == R^{-T}
+  auto li = lin::cholinv(w, tol);  // li.l == R^T, li.l_inv == R^{-T}
 
   // Line 3: Q = A R^{-1} = A (L^{-1})^T, a triangular multiply (m n^2).
   QrFactors out{lin::materialize(a), lin::Matrix(n, n)};
@@ -28,14 +31,22 @@ QrFactors cqr(lin::ConstMatrixView a) {
   return out;
 }
 
-QrFactors cqr2(lin::ConstMatrixView a) {
+}  // namespace
+
+QrFactors cqr(lin::ConstMatrixView a) { return cqr_pass(a, std::nullopt); }
+
+QrFactors detail::cqr2(lin::ConstMatrixView a, std::optional<double> tol) {
   // Line 1-2: two CholeskyQR passes.
-  QrFactors first = cqr(a);
-  QrFactors second = cqr(first.q);
+  QrFactors first = cqr_pass(a, tol);
+  QrFactors second = cqr_pass(first.q, tol);
   // Line 3: R = R2 * R1 (triangular-triangular multiply, n^3/3).
   lin::trmm(lin::Side::Left, lin::Uplo::Upper, lin::Trans::N,
             lin::Diag::NonUnit, 1.0, second.r, first.r);
   return {std::move(second.q), std::move(first.r)};
+}
+
+QrFactors cqr2(lin::ConstMatrixView a) {
+  return detail::cqr2(a, std::nullopt);
 }
 
 }  // namespace cacqr::core

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "cacqr/baseline/pgeqrf_2d.hpp"
-#include "cacqr/core/batched.hpp"
 #include "cacqr/core/factorize.hpp"
 #include "cacqr/core/shifted.hpp"
 #include "internal.hpp"
@@ -114,32 +113,6 @@ FactorizeResult run_ca_cqr(lin::ConstMatrixView a, const rt::Comm& world,
   return out;
 }
 
-/// 1D-CholeskyQR2 (Algorithms 6-7) on all P ranks: rows padded to a
-/// multiple of P (zero rows only -- the Gram matrix is untouched), no
-/// column padding.  The shifted fallback reuses the c=1 grid path.
-/// Delegates to the batched driver with a batch of one, so a standalone
-/// job and a micro-batched job execute literally the same code (the
-/// serve/ bitwise-identity contract; see batched.hpp).
-FactorizeResult run_cqr_1d(lin::ConstMatrixView a, const rt::Comm& world,
-                           const FactorizeOptions& opts) {
-  const lin::ConstMatrixView panels[1] = {a};
-  std::vector<BatchedItem> items = factorize_batched(
-      panels, world,
-      {.passes = opts.passes, .auto_shift = opts.auto_shift,
-       .base_case = opts.base_case, .precision = opts.precision});
-  BatchedItem& item = items.front();
-  if (!item.ok) std::rethrow_exception(item.error);
-
-  FactorizeResult out;
-  out.algo = "cqr_1d";
-  out.c = 1;
-  out.d = world.size();
-  out.used_shift = item.used_shift;
-  out.q = std::move(item.q);
-  out.r = std::move(item.r);
-  return out;
-}
-
 /// The ScaLAPACK-style 2D Householder baseline.  Block-cyclic layout
 /// needs block*pr | m and block*lcm(pr, pc) | n (the n x n R lives on
 /// the same grid); the delta augmentation keeps the padded matrix full
@@ -174,7 +147,6 @@ FactorizeResult run_pgeqrf(lin::ConstMatrixView a, const rt::Comm& world,
 FactorizeResult run_plan(lin::ConstMatrixView a, const rt::Comm& world,
                          const FactorizeOptions& opts,
                          const tune::Plan& plan) {
-  if (plan.algo == "cqr_1d") return run_cqr_1d(a, world, opts);
   if (plan.algo == "pgeqrf_2d") {
     return run_pgeqrf(a, world, plan.pr, plan.pc, plan.block);
   }
@@ -187,10 +159,12 @@ FactorizeResult run_plan(lin::ConstMatrixView a, const rt::Comm& world,
 /// rank count and basic shape preconditions.  Cached plans that fail
 /// this (stale or corrupted files) are treated as cache misses.
 bool plan_fits(const tune::Plan& plan, const tune::ProblemKey& key) {
-  if (plan.algo == "cqr_1d") return plan.d == key.p;
   if (plan.algo == "ca_cqr2") {
+    // The driver pads rows, so a c == 1 grid fits any m (the planner's
+    // 1D candidate); wider grids need a row class per rank.
     return grid::TunableGrid::valid_shape(key.p, plan.c, plan.d) &&
-           static_cast<i64>(plan.c) * plan.c <= key.n && plan.d <= key.m;
+           static_cast<i64>(plan.c) * plan.c <= key.n &&
+           (plan.c == 1 || plan.d <= key.m);
   }
   if (plan.algo == "pgeqrf_2d") {
     return plan.pr >= 1 && plan.pc >= 1 && plan.block >= 1 &&
@@ -246,7 +220,7 @@ std::string decode_variant(double w) {
 }
 
 void encode_plan(const tune::Plan& plan, double* w) {
-  w[0] = plan.algo == "cqr_1d" ? 0.0 : plan.algo == "ca_cqr2" ? 1.0 : 2.0;
+  w[0] = plan.algo == "ca_cqr2" ? 1.0 : 2.0;
   w[1] = plan.c;
   w[2] = plan.d;
   w[3] = plan.pr;
@@ -264,7 +238,7 @@ void encode_plan(const tune::Plan& plan, double* w) {
 
 tune::Plan decode_plan(const double* w) {
   tune::Plan plan;
-  plan.algo = w[0] == 0.0 ? "cqr_1d" : w[0] == 1.0 ? "ca_cqr2" : "pgeqrf_2d";
+  plan.algo = w[0] == 1.0 ? "ca_cqr2" : "pgeqrf_2d";
   plan.c = static_cast<int>(w[1]);
   plan.d = static_cast<int>(w[2]);
   plan.pr = static_cast<int>(w[3]);

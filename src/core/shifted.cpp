@@ -6,6 +6,7 @@
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/factor.hpp"
 #include "cacqr/lin/util.hpp"
+#include "internal.hpp"
 
 namespace cacqr::core {
 
@@ -31,8 +32,10 @@ QrFactors shifted_cqr3(lin::ConstMatrixView a) {
   lin::trmm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
             lin::Diag::NonUnit, 1.0, li.l_inv, q1);
 
-  // Passes 2-3: plain CholeskyQR2 on the now well-conditioned Q1.
-  QrFactors second = cqr2(q1);
+  // Passes 2-3: plain CholeskyQR2 on the now well-conditioned Q1, with
+  // no fallback left, so only a pivot that is not positive breaks it down
+  // (DESIGN.md section 9).
+  QrFactors second = detail::cqr2(q1, 0.0);
 
   // R = R_{23} * R1 with R1 = L^T.
   lin::Matrix r1(n, n);
@@ -58,11 +61,13 @@ CaCqrResult ca_cqr3(const DistMatrix& a, const grid::TunableGrid& g,
       ca_cqr(a, g,
              {.base_case = opts.base_case, .shift = shift,
               .inverse_depth = opts.inverse_depth});
-  // Passes 2-3 on Q1.
+  // Passes 2-3 on Q1, breaking down only on a pivot that is not
+  // positive, as in shifted_cqr3.
   CaCqrResult rest =
-      ca_cqr2(first.q, g,
-              {.base_case = opts.base_case, .shift = 0.0,
-               .inverse_depth = opts.inverse_depth});
+      detail::ca_cqr2(first.q, g,
+                      {.base_case = opts.base_case, .shift = 0.0,
+                       .inverse_depth = opts.inverse_depth},
+                      0.0);
 
   CaCqrResult out;
   out.q = std::move(rest.q);

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 
 #include "cacqr/lin/blas.hpp"
@@ -11,20 +12,22 @@ namespace cacqr::lin {
 namespace {
 
 /// Unblocked right-looking Cholesky on a small diagonal block.
-/// `pivot_base` offsets the failure index reported for blocked callers.
+/// `pivot_base` offsets the failure index reported for blocked callers;
+/// a pivot at or below `tol` (potrf's breakdown threshold) throws.
 ///
 /// Column-oriented: after column j is scaled, every trailing column takes a
 /// contiguous axpy update, so the O(n^3/3) work vectorizes instead of
 /// running strided row dot products.
-void potf2(MatrixView a, i64 pivot_base) {
+void potf2(MatrixView a, i64 pivot_base, double tol) {
   const i64 n = a.rows;
   for (i64 j = 0; j < n; ++j) {
     double* __restrict cj = a.data + j * a.ld;
     const double d = cj[j];
-    if (!(d > 0.0) || !std::isfinite(d)) {
+    if (!(d > tol) || !std::isfinite(d)) {
       throw NotSpdError(
-          cacqr::detail::concat("potrf: pivot ", pivot_base + j,
-                         " is not positive (", d, "); matrix is not SPD"),
+          cacqr::detail::concat("potrf: pivot ", pivot_base + j, " (", d,
+                                ") is at or below the breakdown threshold ",
+                                tol, "; matrix is not numerically SPD"),
           static_cast<std::size_t>(pivot_base + j));
     }
     const double ljj = std::sqrt(d);
@@ -68,14 +71,24 @@ constexpr i64 kFactorBlock = 48;
 
 }  // namespace
 
-void potrf(MatrixView a) {
+double breakdown_threshold(ConstMatrixView a) {
+  // A pivot at or below 2 n u max_i A(i, i) lies within Cholesky's
+  // rounding error of zero (DESIGN.md section 9).
+  double max_diag = 0.0;
+  for (i64 i = 0; i < a.rows; ++i) max_diag = std::max(max_diag, a(i, i));
+  return 2.0 * static_cast<double>(a.rows) * (DBL_EPSILON / 2.0) * max_diag;
+}
+
+void potrf(MatrixView a, std::optional<double> tol) {
   ensure_dim(a.rows == a.cols, "potrf: matrix must be square");
   const i64 n = a.rows;
+  // Computed once from the original diagonal, for every block.
+  const double t = tol ? *tol : breakdown_threshold(a);
 
   for (i64 k = 0; k < n; k += kFactorBlock) {
     const i64 nb = std::min(kFactorBlock, n - k);
     auto akk = a.sub(k, k, nb, nb);
-    potf2(akk, k);
+    potf2(akk, k, t);
     const i64 rest = n - k - nb;
     if (rest > 0) {
       auto a21 = a.sub(k + nb, k, rest, nb);
@@ -117,10 +130,10 @@ void trtri_lower(MatrixView l) {
   trmm(Side::Right, Uplo::Lower, Trans::N, Diag::NonUnit, 1.0, l11, l21);
 }
 
-CholInvResult cholinv(ConstMatrixView a) {
+CholInvResult cholinv(ConstMatrixView a, std::optional<double> tol) {
   ensure_dim(a.rows == a.cols, "cholinv: matrix must be square");
   CholInvResult out{materialize(a), Matrix()};
-  potrf(out.l);
+  potrf(out.l, tol);
   out.l_inv = out.l;  // copy, then invert in place
   trtri_lower(out.l_inv);
   return out;

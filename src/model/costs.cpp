@@ -188,10 +188,6 @@ Cost cost_ca_cqr2(double m, double n, double c, double d, double n0,
   return t;
 }
 
-Cost cost_cqr2_1d(double m, double n, double p) {
-  return cost_ca_cqr2(m, n, 1.0, p);
-}
-
 Cost cost_pgeqrf_2d(double m, double n, double pr, double pc, double b,
                     bool form_q) {
   Cost t;

@@ -2,7 +2,8 @@
 
 namespace cacqr::model {
 
-// Calibration notes (see EXPERIMENTS.md):
+// Calibration notes (the presets behind the modeled clock; see
+// docs/benchmarks.md, `model_validation.json` schema):
 //  - gamma: node peak / ranks-per-node * sustained fraction.  KNL with one
 //    MPI rank per core sustains roughly half of peak on DGEMM-heavy code;
 //    XE Bulldozer modules ~70%.

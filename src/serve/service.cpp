@@ -54,7 +54,6 @@ bool batch_eligible(const JobOptions& o, i64 rows, i64 cols,
 bool same_batch_key(const detail::Job& a, const detail::Job& b) {
   return a.a.cols() == b.a.cols() && a.opts.passes == b.opts.passes &&
          a.opts.auto_shift == b.opts.auto_shift &&
-         a.opts.base_case == b.opts.base_case &&
          a.opts.precision == b.opts.precision;
 }
 
@@ -365,7 +364,7 @@ void FactorizeService::engine_main() {
             std::vector<core::BatchedItem> items = core::factorize_batched(
                 panels, world,
                 {.passes = o.passes, .auto_shift = o.auto_shift,
-                 .base_case = o.base_case, .precision = o.precision});
+                 .precision = o.precision});
             if (world.rank() == 0) {
               const double secs = timer.seconds();
               serve_metrics().batch_size->observe(
@@ -392,7 +391,7 @@ void FactorizeService::engine_main() {
                   JobResult res;
                   res.q = std::move(items[i].q);
                   res.r = std::move(items[i].r);
-                  res.algo = "cqr_1d";
+                  res.algo = "ca_cqr";
                   res.used_shift = items[i].used_shift;
                   res.batched = g.jobs.size() > 1;
                   res.batch_size = g.jobs.size();

@@ -17,7 +17,6 @@ std::string ProblemKey::text() const {
 }
 
 std::string Plan::grid() const {
-  if (algo == "cqr_1d") return "p" + std::to_string(d);
   if (algo == "ca_cqr2") {
     return "c" + std::to_string(c) + "d" + std::to_string(d);
   }
@@ -62,9 +61,7 @@ std::optional<Plan> Plan::from_json(const support::Json& j) {
   p.precision = *prec;
   // A cached plan must name a variant and a sane configuration; anything
   // else is treated as corruption (ignored by the loader).
-  if (p.algo == "cqr_1d") {
-    if (p.d < 1) return std::nullopt;
-  } else if (p.algo == "ca_cqr2") {
+  if (p.algo == "ca_cqr2") {
     if (p.c < 1 || p.d < 1 || p.d % p.c != 0) return std::nullopt;
   } else if (p.algo == "pgeqrf_2d") {
     if (p.pr < 1 || p.pc < 1 || p.block < 1) return std::nullopt;
@@ -119,28 +116,15 @@ std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
   };
   std::vector<Plan> out;
 
-  // Variant 1: 1D-CQR2 on all P ranks (always valid; the driver pads m
-  // up to a multiple of P).
-  {
-    Plan p;
-    p.algo = "cqr_1d";
-    p.d = key.p;
-    p.predicted_seconds =
-        model::cost_cqr2_1d(m, n, static_cast<double>(key.p)).time(mach) *
-            pass_factor +
-        precision_adjust(1.0, static_cast<double>(key.p));
-    p.source = "model";
-    out.push_back(std::move(p));
-  }
-
-  // Variant 2: CA-CQR2 on every valid (c, d) tunable grid.  c == 1
-  // duplicates 1D's communication pattern but runs CFR3D instead of the
-  // local CholInv -- still a distinct executable config, so keep it.
+  // CA-CQR2 on every valid (c, d) tunable grid; c == 1 is 1D-CQR2
+  // (Algorithm 7) on all P ranks.  The driver pads rows, so the c == 1
+  // grid is always a candidate; a wider grid needs a row class per rank.
   // Grids needing more column classes than there are columns (or whose
   // CFR3D base case n >= c^2 fails even after padding) are skipped;
   // the driver pads, but a grid with c > n can never be sensible.
   for (const auto& [c, d] : model::valid_grids(key.p)) {
-    if (static_cast<i64>(c) * c > key.n || static_cast<i64>(d) > key.m) {
+    if (static_cast<i64>(c) * c > key.n ||
+        (c > 1 && static_cast<i64>(d) > key.m)) {
       continue;
     }
     Plan p;
@@ -154,7 +138,7 @@ std::vector<Plan> Planner::candidates(const ProblemKey& key) const {
     out.push_back(std::move(p));
   }
 
-  // Variant 3: the ScaLAPACK-style baseline, the paper's tuning sweep:
+  // The ScaLAPACK-style baseline, the paper's tuning sweep:
   // power-of-two pr and blocks {16, 32, 64}.  The driver pads up to
   // block-cycle multiples, so only require one block per process.
   for (i64 pr = 1; pr <= key.p; pr *= 2) {

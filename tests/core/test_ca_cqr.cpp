@@ -8,6 +8,7 @@
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/util.hpp"
+#include "cacqr/support/math.hpp"
 
 namespace cacqr::core {
 namespace {
@@ -55,6 +56,104 @@ INSTANTIATE_TEST_SUITE_P(
                       GridParam{4, 4, 8, 2},    // full cube (P=64)
                       GridParam{2, 4, 16, 8},   // larger blocks (P=16)
                       GridParam{2, 2, 48, 12}));
+
+// 1D-CholeskyQR (Algorithms 6-7) is ca_cqr on the c = 1 grid.
+class Cqr1dSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(Cqr1dSweep, MatchesSequentialCqr2) {
+  const int p = GetParam();
+  const i64 m = 16 * p;
+  const i64 n = 8;
+  rt::Runtime::run(p, [&](rt::Comm& world) {
+    grid::TunableGrid g(world, 1, p);
+    lin::Matrix a = lin::hashed_matrix(61, m, n);
+    auto da = DistMatrix::from_global_on_tunable(a, g);
+
+    auto [q, r] = ca_cqr2(da, g);
+
+    auto seq = cqr2(a);
+    EXPECT_LT(lin::max_abs_diff(r.local(), seq.r),
+              1e-10 * (1.0 + lin::max_abs(seq.r)))
+        << "p=" << p;
+    // Q is row-distributed: check the local rows against the sequential Q.
+    for (i64 lj = 0; lj < n; ++lj) {
+      for (i64 li = 0; li < q.layout().local_rows(); ++li) {
+        EXPECT_NEAR(q.local()(li, lj), seq.q(q.layout().global_row(li), lj),
+                    1e-10)
+            << "p=" << p;
+      }
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, Cqr1dSweep, ::testing::Values(1, 2, 4, 8));
+
+TEST(Cqr1dTest, SinglePassInvariants) {
+  const int p = 4;
+  rt::Runtime::run(p, [&](rt::Comm& world) {
+    grid::TunableGrid g(world, 1, p);
+    lin::Matrix a = lin::hashed_matrix(62, 32, 6);
+    auto da = DistMatrix::from_global_on_tunable(a, g);
+    auto [q, r] = ca_cqr(da, g);
+    // R is replicated: the whole matrix on the 1 x 1 subcube slice.
+    ASSERT_EQ(r.layout().row_procs * r.layout().col_procs, 1);
+    EXPECT_TRUE(lin::is_upper_triangular(r.local()));
+    lin::Matrix qg = gather(q, g.slice());
+    EXPECT_LT(lin::orthogonality_error(qg), 1e-12);
+    EXPECT_LT(lin::residual_error(a, qg, r.local()), 1e-13);
+  });
+}
+
+TEST(Cqr1dTest, RReplicatedOnEveryRank) {
+  const int p = 4;
+  rt::Runtime::run(p, [&](rt::Comm& world) {
+    grid::TunableGrid g(world, 1, p);
+    lin::Matrix a = lin::hashed_matrix(63, 16, 4);
+    auto da = DistMatrix::from_global_on_tunable(a, g);
+    auto res = ca_cqr2(da, g);
+    // Allgather every rank's R and compare bitwise: the redundant
+    // factorizations must agree exactly (identical reduced Gram inputs).
+    const lin::Matrix& r = res.r.local();
+    std::vector<double> mine(r.data(), r.data() + r.size());
+    std::vector<double> all(mine.size() * p);
+    world.allgather(mine, all);
+    for (int rk = 1; rk < p; ++rk) {
+      for (std::size_t i = 0; i < mine.size(); ++i) {
+        EXPECT_EQ(all[rk * mine.size() + i], all[i]);
+      }
+    }
+  });
+}
+
+TEST(Cqr1dTest, LayoutValidation) {
+  rt::Runtime::run(4, [](rt::Comm& world) {
+    grid::TunableGrid g(world, 1, 4);
+    // Wrong row_procs.
+    DistMatrix bad(16, 4, 2, 1, world.rank() % 2, 0);
+    EXPECT_THROW((void)ca_cqr(bad, g), DimensionError);
+  });
+}
+
+TEST(Cqr1dCostTest, AllreduceDominatedCommunication) {
+  // Table I, 1D-CQR: alpha ~ log P, beta ~ n^2 -- independent of m.
+  const int p = 8;
+  const i64 n = 8;
+  for (const i64 m : {i64{64}, i64{256}}) {
+    rt::Runtime::run(p, [&](rt::Comm& world) {
+      grid::TunableGrid g(world, 1, p);
+      lin::Matrix a = lin::hashed_matrix(64, m, n);
+      auto da = DistMatrix::from_global_on_tunable(a, g);
+      // Charges of the factorization alone, not the grid's splits.
+      const rt::CostCounters before = world.counters();
+      (void)ca_cqr2(da, g);
+      const rt::CostCounters used = world.counters() - before;
+      // Two allreduces of n^2 words: beta <= 2 * 2n^2, alpha = 2 * 2 lg P.
+      EXPECT_EQ(used.msgs, 2 * 2 * ceil_log2(p));
+      EXPECT_LE(used.words, 4 * n * n);
+      EXPECT_GT(used.words, 2 * n * n);
+    });
+  }
+}
 
 TEST(CaGramTest, ComputesGramOnSubcubeSlice) {
   const int c = 2, d = 4;
@@ -210,14 +309,18 @@ TEST(InverseDepthTest, TradesFlopsForSynchronization) {
 }
 
 TEST(InverseDepthTest, IgnoredAtCEqualsOne) {
-  // The 1D path already exploits triangular structure locally.
+  // The 1D path already exploits triangular structure locally, and its
+  // one redundant CholInv has no CFR3D recursion for base_case to cut.
   rt::Runtime::run(4, [&](rt::Comm& world) {
     grid::TunableGrid g(world, 1, 4);
     auto da = DistMatrix::from_global_on_tunable(
         lin::hashed_matrix(813, 16, 8), g);
     auto r0 = ca_cqr2(da, g);
     auto r1 = ca_cqr2(da, g, {.inverse_depth = 3});
+    auto r2 = ca_cqr2(da, g, {.base_case = 2});
     EXPECT_EQ(gather(r0.q, g.slice()), gather(r1.q, g.slice()));
+    EXPECT_EQ(gather(r0.q, g.slice()), gather(r2.q, g.slice()));
+    EXPECT_EQ(r0.r.local(), r2.r.local());
   });
 }
 

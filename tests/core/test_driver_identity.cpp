@@ -1,9 +1,10 @@
 /// \file test_driver_identity.cpp
 /// \brief The replicated driver adds nothing but data movement to the
 ///        algorithm: core::factorize returns, bit for bit, the stripped
-///        dist::gather of ca_cqr2 run on the explicitly padded panel, and
-///        charges exactly the per-rank msgs, words, flops and modeled
-///        clock pinned below.  The pinned counters were recorded from the
+///        dist::gather of ca_cqr2 run on the explicitly padded panel (and,
+///        on the c = 1 grid, what factorize_batched returns for a batch of
+///        one), and charges exactly the per-rank msgs, words, flops and
+///        modeled clock pinned below.  The pinned counters were recorded from the
 ///        driver that still copied every panel and gathered through fresh
 ///        buffers, so buffer reuse and the no-copy paths must not move a
 ///        single charge.  Runs over whichever transport CACQR_TRANSPORT
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "cacqr/core/batched.hpp"
 #include "cacqr/core/ca_cqr.hpp"
 #include "cacqr/core/factorize.hpp"
 #include "cacqr/dist/dist_matrix.hpp"
@@ -113,6 +115,19 @@ rt::RunOutput run_case(const Shape& s, Precision prec) {
             << "rank " << world.rank() << ": Q differs from the reference";
         EXPECT_TRUE(bitwise_equal(res.r, r.sub(0, 0, s.n, s.n)))
             << "rank " << world.rank() << ": R differs from the reference";
+
+        // At c = 1 the batched sweep runs the same 1D pass.
+        if (c == 1) {
+          const lin::ConstMatrixView panels[1] = {a};
+          const std::vector<BatchedItem> items =
+              factorize_batched(panels, world, {.precision = prec});
+          EXPECT_TRUE(items.front().ok);
+          EXPECT_FALSE(items.front().used_shift);
+          EXPECT_TRUE(bitwise_equal(items.front().q, res.q))
+              << "rank " << world.rank() << ": batched Q differs";
+          EXPECT_TRUE(bitwise_equal(items.front().r, res.r))
+              << "rank " << world.rank() << ": batched R differs";
+        }
       },
       kMachine);
 }

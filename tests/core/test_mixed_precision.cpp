@@ -13,7 +13,7 @@
 #include <span>
 #include <string>
 
-#include "cacqr/core/cqr_1d.hpp"
+#include "cacqr/core/ca_cqr.hpp"
 #include "cacqr/core/factorize.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/parallel.hpp"
@@ -50,7 +50,7 @@ TEST(MixedPrecisionTest, MixedMeetsFp64TolerancesWhenWellConditioned) {
   // The headline claim: an fp32 first-pass Gram plus the fp64 second
   // pass (CholeskyQR2's correction sweep) lands at fp64-level
   // orthogonality and residual on well-conditioned inputs -- both on the
-  // 1D family (c = 1 forces the cqr_1d Gram path) and on a c > 1 CA grid
+  // 1D family (c = 1 forces the 1D pass's Gram) and on a c > 1 CA grid
   // (the gemm-form Gram assembly).
   struct Grid {
     int ranks;
@@ -217,17 +217,18 @@ TEST(MixedPrecisionTest, BitwiseDeterministicAcrossBudgetsAndOverlap) {
 }
 
 TEST(MixedPrecisionTest, Cqr2_1dDirectMixedPass) {
-  // The DistMatrix-level entry point: cqr2_1d's precision parameter maps
-  // `mixed` onto the first pass only, and the result still meets fp64
-  // tolerances.
+  // The DistMatrix-level entry point on the c = 1 grid: ca_cqr2's
+  // precision option maps `mixed` onto the first pass only, and the
+  // result still meets fp64 tolerances.
   const int p = 4;
   rt::Runtime::run(p, [&](rt::Comm& world) {
+    grid::TunableGrid g(world, 1, p);
     const lin::Matrix a = lin::hashed_matrix(99, 64, 8);
-    auto da = dist::DistMatrix::from_global(a, p, 1, world.rank(), 0);
-    auto [q, r] = cqr2_1d(da, world, Precision::mixed);
-    const lin::Matrix qg = gather(q, world);
+    auto da = dist::DistMatrix::from_global_on_tunable(a, g);
+    auto [q, r] = ca_cqr2(da, g, {.precision = Precision::mixed});
+    const lin::Matrix qg = gather(q, g.slice());
     EXPECT_LT(lin::orthogonality_error(qg), 1e-12);
-    EXPECT_LT(lin::residual_error(a, qg, r), 1e-12);
+    EXPECT_LT(lin::residual_error(a, qg, r.local()), 1e-12);
   });
 }
 

@@ -1,6 +1,6 @@
 /// \file test_transport_e2e.cpp
-/// \brief End-to-end factorization conformance across transports: cqr_1d
-///        and ca_cqr2 must produce bitwise-identical per-rank Q and R
+/// \brief End-to-end factorization conformance across transports: the
+///        1D pass (ca_cqr at c = 1) and ca_cqr2 must produce bitwise-identical per-rank Q and R
 ///        under the modeled (threads) and shm (forked processes)
 ///        backends, across the worker-budget {1, 4} x overlap {off, on}
 ///        acceptance matrix.  One-owner local stages, fixed collective
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cacqr/core/ca_cqr.hpp"
-#include "cacqr/core/cqr_1d.hpp"
 #include "cacqr/dist/dist_matrix.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/rt/comm.hpp"
@@ -97,22 +96,24 @@ class TransportE2e : public ::testing::TestWithParam<int> {};
 TEST_P(TransportE2e, Cqr1dFactorsBitwiseAcrossBackends) {
   const int p = GetParam();
   expect_e2e_conformant(p, [p](rt::Comm& world) {
+    grid::TunableGrid g(world, 1, p);
     const lin::Matrix a = lin::hashed_matrix(501, 128 * p, 32);
-    auto da = DistMatrix::from_global(a, p, 1, world.rank(), 0);
-    auto res = cqr_1d(da, world);
+    auto da = DistMatrix::from_global_on_tunable(a, g);
+    auto res = ca_cqr(da, g);
     publish_matrix(world, res.q.local());
-    publish_matrix(world, res.r);
+    publish_matrix(world, res.r.local());
   });
 }
 
 TEST_P(TransportE2e, Cqr2_1dFactorsBitwiseAcrossBackends) {
   const int p = GetParam();
   expect_e2e_conformant(p, [p](rt::Comm& world) {
+    grid::TunableGrid g(world, 1, p);
     const lin::Matrix a = lin::hashed_matrix(502, 96 * p, 24);
-    auto da = DistMatrix::from_global(a, p, 1, world.rank(), 0);
-    auto res = cqr2_1d(da, world);
+    auto da = DistMatrix::from_global_on_tunable(a, g);
+    auto res = ca_cqr2(da, g);
     publish_matrix(world, res.q.local());
-    publish_matrix(world, res.r);
+    publish_matrix(world, res.r.local());
   });
 }
 

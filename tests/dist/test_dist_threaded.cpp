@@ -7,9 +7,9 @@
 /// copies block_backsolve is built from) is split over the per-rank worker
 /// team, and must produce byte-identical local blocks at any per-rank
 /// thread budget.  The collectives' schedules are fixed, so whole
-/// factorizations inherit the guarantee -- asserted end-to-end for cqr_1d
-/// and ca_cqr2 at budgets 1 vs 4 (the same pair CI's CACQR_THREADS matrix
-/// runs).
+/// factorizations inherit the guarantee -- asserted end-to-end for the 1D
+/// pass (ca_cqr at c = 1) and ca_cqr2 at budgets 1 vs 4 (the same pair
+/// CI's CACQR_THREADS matrix runs).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "cacqr/core/ca_cqr.hpp"
-#include "cacqr/core/cqr_1d.hpp"
 #include "cacqr/dist/dist_matrix.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/kernel.hpp"
@@ -147,16 +146,16 @@ TEST(DistThreaded, BlockBacksolve) {
 
 TEST(DistThreaded, Cqr1dEndToEnd) {
   expect_stage_bitwise(4, [](rt::Comm& world) {
+    grid::TunableGrid g(world, 1, world.size());
     const lin::Matrix a = lin::hashed_matrix(312, 2048, 96);
-    auto da = DistMatrix::from_global(a, world.size(), 1, world.rank(), 0);
-    auto res = core::cqr_1d(da, world);
+    auto da = DistMatrix::from_global_on_tunable(a, g);
+    auto res = core::ca_cqr(da, g);
     // Fold Q and R into one block so a single comparison covers both.
-    lin::Matrix out(res.q.local().rows() + res.r.rows(), res.q.local().cols());
+    const lin::Matrix& r = res.r.local();
+    lin::Matrix out(res.q.local().rows() + r.rows(), res.q.local().cols());
     lin::copy(res.q.local(),
               out.sub(0, 0, res.q.local().rows(), res.q.local().cols()));
-    lin::copy(res.r.sub(0, 0, res.r.rows(), res.q.local().cols()),
-              out.sub(res.q.local().rows(), 0, res.r.rows(),
-                      res.q.local().cols()));
+    lin::copy(r, out.sub(res.q.local().rows(), 0, r.rows(), r.cols()));
     return out;
   });
 }

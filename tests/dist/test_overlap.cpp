@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cacqr/core/ca_cqr.hpp"
-#include "cacqr/core/cqr_1d.hpp"
 #include "cacqr/dist/dist_matrix.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/support/rng.hpp"
@@ -137,12 +136,14 @@ TEST(OverlapIdentity, Cqr1dEndToEnd) {
   expect_overlap_invisible(4, [](rt::Comm& world) {
     Rng rng(406);
     const lin::Matrix a = lin::with_cond(rng, 512, 96, 10.0);
-    auto da = DistMatrix::from_global(a, world.size(), 1, world.rank(), 0);
-    auto qr = core::cqr_1d(da, world);
+    grid::TunableGrid g(world, 1, world.size());
+    auto da = DistMatrix::from_global_on_tunable(a, g);
+    auto qr = core::ca_cqr(da, g);
     // Fold Q and R into one block so both factors are asserted.
-    lin::Matrix out(qr.q.local().rows() + qr.r.rows(), qr.r.cols());
-    lin::copy(qr.q.local(), out.sub(0, 0, qr.q.local().rows(), qr.r.cols()));
-    lin::copy(qr.r, out.sub(qr.q.local().rows(), 0, qr.r.rows(), qr.r.cols()));
+    const lin::Matrix& r = qr.r.local();
+    lin::Matrix out(qr.q.local().rows() + r.rows(), r.cols());
+    lin::copy(qr.q.local(), out.sub(0, 0, qr.q.local().rows(), r.cols()));
+    lin::copy(r, out.sub(qr.q.local().rows(), 0, r.rows(), r.cols()));
     return out;
   });
 }

@@ -11,7 +11,6 @@
 #include "cacqr/baseline/tsqr.hpp"
 #include "cacqr/core/ca_cqr.hpp"
 #include "cacqr/core/cqr.hpp"
-#include "cacqr/core/cqr_1d.hpp"
 #include "cacqr/lin/generate.hpp"
 #include "cacqr/lin/qr.hpp"
 #include "cacqr/lin/util.hpp"
@@ -44,11 +43,12 @@ TEST(CrossAlgorithmTest, Cqr1dMatchesHouseholder) {
   lin::Matrix a = input();
   auto hh = lin::householder_qr(a);
   rt::Runtime::run(8, [&](rt::Comm& world) {
-    auto da = DistMatrix::from_global(a, 8, 1, world.rank(), 0);
-    auto res = core::cqr2_1d(da, world);
-    lin::Matrix q = gather(res.q, world);
+    grid::TunableGrid g(world, 1, 8);
+    auto da = DistMatrix::from_global_on_tunable(a, g);
+    auto res = core::ca_cqr2(da, g);
+    lin::Matrix q = gather(res.q, g.slice());
     EXPECT_LT(lin::max_abs_diff(hh.q, q), kTol);
-    EXPECT_LT(lin::max_abs_diff(hh.r, res.r),
+    EXPECT_LT(lin::max_abs_diff(hh.r, res.r.local()),
               kTol * (1.0 + lin::max_abs(hh.r)));
   });
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+
 #include "cacqr/lin/blas.hpp"
 #include "cacqr/lin/factor.hpp"
 #include "cacqr/lin/generate.hpp"
@@ -61,6 +64,38 @@ TEST(PotrfTest, ThrowsOnSemidefinite) {
     for (i64 i = 0; i < 3; ++i) a(i, j) = 1.0;
   }
   EXPECT_THROW(potrf(a), NotSpdError);
+}
+
+TEST(PotrfTest, BreakdownThresholdIsTwoNUTimesLargestDiagonal) {
+  // Diagonal SPD matrix: every pivot equals its diagonal entry exactly.
+  // The largest diagonal (4) sits in the first block, the pivot under
+  // test in the third, so the blocked path must carry the threshold
+  // 2 n u max_i A(i, i) = 2 * 100 * 2^-53 * 4 = 400 DBL_EPSILON down.
+  const i64 n = 100;
+  const double tau = 400.0 * DBL_EPSILON;
+  auto with_last_pivot = [&](double p) {
+    Matrix a = Matrix::identity(n);
+    a(0, 0) = 4.0;
+    a(n - 1, n - 1) = p;
+    return a;
+  };
+  EXPECT_EQ(breakdown_threshold(with_last_pivot(1.0)), tau);
+  for (const double p : {std::nextafter(tau, 0.0), tau}) {
+    Matrix a = with_last_pivot(p);
+    try {
+      potrf(a);
+      FAIL() << "expected NotSpdError for pivot " << p;
+    } catch (const NotSpdError& e) {
+      EXPECT_EQ(e.pivot, static_cast<std::size_t>(n - 1));
+    }
+  }
+  Matrix above = with_last_pivot(std::nextafter(tau, 1.0));
+  EXPECT_NO_THROW(potrf(above));
+  // An explicit tol = 0 counts only a pivot that is not positive.
+  Matrix tiny = with_last_pivot(tau / 2.0);
+  EXPECT_NO_THROW(potrf(tiny, 0.0));
+  Matrix zero = with_last_pivot(0.0);
+  EXPECT_THROW(potrf(zero, 0.0), NotSpdError);
 }
 
 TEST(PotrfTest, BlockedMatchesUnblockedPath) {

@@ -88,7 +88,7 @@ TEST(Cfr3dCostTest, BaseCaseKnobTradesAlphaForBeta) {
 TEST(CaCqr2CostTest, OneDSpecialCaseMatchesPaperTable) {
   // Table I, 1D-CQR: alpha ~ log P, beta ~ n^2, gamma ~ mn^2/P + n^3.
   const double m = 1 << 22, n = 256, p = 256;
-  const Cost c = cost_cqr2_1d(m, n, p);
+  const Cost c = cost_ca_cqr2(m, n, 1, p);
   EXPECT_LT(c.alpha, 10 * std::log2(p));
   // Two passes, each one Allreduce of the n x n Gram matrix (2n^2 words);
   // the R2*R1 composition is local at c == 1.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -30,18 +31,30 @@ struct Ref {
 
 /// Standalone reference factors: a batch of one on a fresh world of the
 /// same width the services below use.  Computed before a service exists
-/// so the two runtimes never overlap.
+/// so the two runtimes never overlap.  Rank 0 publishes Q then R: under a
+/// process transport the body runs in a forked child, so the published
+/// blob is the only way its factors reach this caller.
 Ref standalone(const lin::Matrix& a, core::BatchedOptions opts = {}) {
-  Ref ref;
-  rt::Runtime::run(4, [&](rt::Comm& world) {
+  const rt::RunOutput out = rt::Runtime::run_collect(4, [&](rt::Comm& world) {
     const lin::ConstMatrixView panels[1] = {a};
-    std::vector<core::BatchedItem> items =
+    const std::vector<core::BatchedItem> items =
         core::factorize_batched(panels, world, opts);
     if (world.rank() == 0) {
-      ref.q = std::move(items.front().q);
-      ref.r = std::move(items.front().r);
+      const core::BatchedItem& item = items.front();
+      world.publish({item.q.data(), static_cast<std::size_t>(item.q.size())});
+      world.publish({item.r.data(), static_cast<std::size_t>(item.r.size())});
     }
   });
+  Ref ref{lin::Matrix(a.rows(), a.cols()), lin::Matrix(a.cols(), a.cols())};
+  const std::vector<double>& blob = out.published.front();
+  if (blob.size() !=
+      static_cast<std::size_t>(ref.q.size() + ref.r.size())) {
+    ADD_FAILURE() << "standalone: rank 0 published " << blob.size()
+                  << " doubles";
+    return {};
+  }
+  std::copy(blob.begin(), blob.begin() + ref.q.size(), ref.q.data());
+  std::copy(blob.begin() + ref.q.size(), blob.end(), ref.r.data());
   return ref;
 }
 
@@ -69,7 +82,7 @@ TEST(ServiceTest, JobsComeBackBitwiseIdenticalToStandalone) {
   const JobHandle h1 = svc.submit(a1);
   EXPECT_EQ(h0.wait(), JobStatus::done);
   EXPECT_EQ(h1.wait(), JobStatus::done);
-  EXPECT_EQ(h0.result().algo, "cqr_1d");
+  EXPECT_EQ(h0.result().algo, "ca_cqr");
   EXPECT_FALSE(h0.result().used_shift);
   EXPECT_GE(h0.result().exec_seconds, 0.0);
   EXPECT_EQ(lin::max_abs_diff(h0.result().q, r0.q), 0.0);
@@ -107,7 +120,9 @@ TEST(ServiceTest, CompatibleJobsMicroBatchAndStayBitwise) {
   FactorizeService svc({.ranks = 4, .queue_depth = 16, .batch_window = 8});
   const JobHandle blocker = svc.submit(blocker_panel());
   wait_running(blocker);
-  const JobHandle jobs[3] = {svc.submit(a0), svc.submit(a1), svc.submit(a2)};
+  // base_case is no batch key: the lane's c = 1 grid ignores it.
+  const JobHandle jobs[3] = {svc.submit(a0), svc.submit(a1, {.base_case = 2}),
+                             svc.submit(a2)};
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(jobs[i].wait(), JobStatus::done);
     EXPECT_TRUE(jobs[i].result().batched) << "job " << i;

@@ -126,10 +126,14 @@ TEST_F(CacheFixture, WrongSchemaVersionIsIgnored) {
 TEST_F(CacheFixture, MalformedPlanEntryIsIgnored) {
   const PlanCache cache(dir);
   const ProblemKey key{8192, 128, 8, 1};
-  Plan bad = sample_plan();
-  bad.algo = "quantum_qr";  // unknown variant: must be rejected on load
-  cache.store("fp-a", key, bad);
-  EXPECT_FALSE(cache.load("fp-a", key).has_value());
+  // Unknown variants must be rejected on load, the retired 1D family's
+  // tag included (c = 1 plans are ca_cqr2 plans).
+  for (const char* algo : {"quantum_qr", "cqr_1d"}) {
+    Plan bad = sample_plan();
+    bad.algo = algo;
+    cache.store("fp-a", key, bad);
+    EXPECT_FALSE(cache.load("fp-a", key).has_value()) << algo;
+  }
 }
 
 TEST_F(CacheFixture, DisabledCacheIsInert) {

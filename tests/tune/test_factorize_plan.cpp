@@ -46,8 +46,8 @@ TEST(FactorizePlanTest, ModelPlanMatchesExplicitOptionsBitwise) {
 
 TEST(FactorizePlanTest, ModelPlanPicks1dForExtremeAspect) {
   // 4096 x 8 on 4 ranks: communication-optimal c is far below 1, so the
-  // planner must select the 1D CholeskyQR2 family, and the result must
-  // match a direct explicit run of the same family bit for bit.
+  // planner must select 1D CholeskyQR2 (the c = 1 grid), and the result
+  // must match a direct explicit run of the same grid bit for bit.
   rt::Runtime::run(4, [](rt::Comm& world) {
     const lin::Matrix a = lin::hashed_matrix(302, 4096, 8);
     const tune::MachineProfile profile = tune::generic_profile();
@@ -55,10 +55,13 @@ TEST(FactorizePlanTest, ModelPlanPicks1dForExtremeAspect) {
     planned.plan_mode = PlanMode::model;
     planned.profile = &profile;
     const FactorizeResult res = factorize(a, world, planned);
-    EXPECT_TRUE(res.algo == "cqr_1d" || (res.algo == "ca_cqr" && res.c == 1))
-        << res.algo;
+    EXPECT_EQ(res.algo, "ca_cqr");
+    EXPECT_EQ(res.c, 1);
     EXPECT_LT(lin::orthogonality_error(res.q), 1e-12);
     EXPECT_LT(lin::residual_error(a, res.q, res.r), 1e-12);
+    const FactorizeResult ref = factorize(a, world, {.c = 1, .d = 4});
+    EXPECT_EQ(lin::max_abs_diff(res.q, ref.q), 0.0);
+    EXPECT_EQ(lin::max_abs_diff(res.r, ref.r), 0.0);
   });
 }
 
@@ -85,11 +88,13 @@ TEST(FactorizePlanTest, AllVariantsDispatchCorrectly) {
   std::vector<Case> cases;
   {
     tune::Plan p;
-    p.algo = "cqr_1d";
-    p.d = 4;
-    cases.push_back({p, "cqr_1d", 4, 128, 32});
-    p = {};
     p.algo = "ca_cqr2";
+    p.c = 1;
+    p.d = 4;
+    cases.push_back({p, "ca_cqr", 4, 128, 32});
+    // The c = 1 grid on fewer rows than ranks: the driver pads m 5 -> 8.
+    p.d = 8;
+    cases.push_back({p, "ca_cqr", 8, 5, 3});
     p.c = 2;
     p.d = 2;
     cases.push_back({p, "ca_cqr", 8, 160, 32});
@@ -153,7 +158,8 @@ TEST(FactorizePlanTest, CachedPlanForOtherKernelVariantIsAMiss) {
 
   // A valid plan stamped with a variant that is NOT the active one.
   tune::Plan stale;
-  stale.algo = "cqr_1d";
+  stale.algo = "ca_cqr2";
+  stale.c = 1;
   stale.d = 4;
   stale.source = "measured";
   stale.measured_seconds = 1.0;
@@ -200,7 +206,8 @@ TEST(FactorizePlanTest, CachedPlanForOtherPrecisionIsAMiss) {
   // A valid measured plan whose variant matches the dispatcher but whose
   // precision does NOT match the (default fp64) request.
   tune::Plan stale;
-  stale.algo = "cqr_1d";
+  stale.algo = "ca_cqr2";
+  stale.c = 1;
   stale.d = 4;
   stale.source = "measured";
   stale.measured_seconds = 1.0;

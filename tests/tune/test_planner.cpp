@@ -30,8 +30,9 @@ TEST(PlannerTest, PassesScaleCholeskyFamilies) {
     }
     return Plan{};
   };
-  const Plan cqr2 = find(planner.candidates(two), "cqr_1d");
-  const Plan cqr3 = find(planner.candidates(three), "cqr_1d");
+  const Plan cqr2 = find(planner.candidates(two), "ca_cqr2");
+  const Plan cqr3 = find(planner.candidates(three), "ca_cqr2");
+  ASSERT_EQ(cqr2.grid(), cqr3.grid());
   EXPECT_DOUBLE_EQ(cqr3.predicted_seconds, cqr2.predicted_seconds * 1.5);
   // The Householder baseline ignores the passes knob.
   const Plan pg2 = find(planner.candidates(two), "pgeqrf_2d");
@@ -41,9 +42,10 @@ TEST(PlannerTest, PassesScaleCholeskyFamilies) {
 
 TEST(PlanTest, GridTagsMatchBenchConvention) {
   Plan p1d;
-  p1d.algo = "cqr_1d";
+  p1d.algo = "ca_cqr2";
+  p1d.c = 1;
   p1d.d = 8;
-  EXPECT_EQ(p1d.grid(), "p8");
+  EXPECT_EQ(p1d.grid(), "c1d8");
   Plan pca;
   pca.algo = "ca_cqr2";
   pca.c = 2;
@@ -83,7 +85,8 @@ TEST(PlanTest, JsonRoundTripRejectsNonsense) {
 
 TEST(PlanTest, JsonRoundTripsKernelVariant) {
   Plan p;
-  p.algo = "cqr_1d";
+  p.algo = "ca_cqr2";
+  p.c = 1;
   p.d = 8;
   p.source = "model";
   p.kernel_variant = "avx2";
@@ -131,7 +134,7 @@ TEST(PlannerTest, EnumeratesAllThreeVariantFamilies) {
   bool has_ca = false;
   bool has_pg = false;
   for (const Plan& p : cands) {
-    has_1d |= p.algo == "cqr_1d";
+    has_1d |= p.algo == "ca_cqr2" && p.c == 1;
     has_ca |= p.algo == "ca_cqr2";
     has_pg |= p.algo == "pgeqrf_2d";
     EXPECT_EQ(p.source, "model");
@@ -149,21 +152,26 @@ TEST(PlannerTest, EnumeratesAllThreeVariantFamilies) {
 TEST(PlannerTest, EveryCandidateIsExecutable) {
   const Planner planner(profile());
   for (const int p : {1, 2, 4, 8, 16}) {
+    // {3, 2}: fewer rows than ranks for p >= 4; the driver pads rows, so
+    // the c = 1 grid must still be offered.
     for (const auto& [m, n] : {std::pair<i64, i64>{1 << 14, 1 << 6},
-                               {512, 512}, {100, 7}}) {
+                               {512, 512}, {100, 7}, {3, 2}}) {
       if (m < n) continue;
+      bool has_1d = false;
       for (const Plan& plan : planner.candidates({m, n, p, 1})) {
-        if (plan.algo == "cqr_1d") {
-          EXPECT_EQ(plan.d, p);
-        } else if (plan.algo == "ca_cqr2") {
+        if (plan.algo == "ca_cqr2") {
           EXPECT_TRUE(grid::TunableGrid::valid_shape(p, plan.c, plan.d))
               << plan.grid() << " p=" << p;
           EXPECT_LE(static_cast<i64>(plan.c) * plan.c, n);
+          EXPECT_TRUE(plan.c == 1 || plan.d <= m)
+              << plan.grid() << " m=" << m;
+          has_1d |= plan.c == 1;
         } else {
           EXPECT_EQ(plan.pr * plan.pc, p) << plan.grid();
           EXPECT_GE(plan.block, 16);
         }
       }
+      EXPECT_TRUE(has_1d) << "m=" << m << " n=" << n << " p=" << p;
     }
   }
 }
@@ -184,9 +192,7 @@ TEST(PlannerTest, ExtremelyTallSkinnyAvoidsWideGrids) {
   // the Householder baseline (the paper's Table I regime).
   const Planner planner(profile());
   const Plan p = planner.plan({i64{1} << 24, 32, 8, 1});
-  EXPECT_TRUE(p.algo == "cqr_1d" ||
-              (p.algo == "ca_cqr2" && p.c == 1))
-      << p.algo << " " << p.grid();
+  EXPECT_TRUE(p.algo == "ca_cqr2" && p.c == 1) << p.algo << " " << p.grid();
 }
 
 TEST(PlannerTest, ThreadSpeedupLowersGammaOnly) {

@@ -12,17 +12,19 @@
 namespace cacqr::tune {
 namespace {
 
-const Plan* find_algo(const std::vector<Plan>& cands,
-                      const std::string& algo) {
+/// The first candidate of `algo` (on grid column count `c`, when given).
+const Plan* find_algo(const std::vector<Plan>& cands, const std::string& algo,
+                      int c = 0) {
   for (const Plan& p : cands) {
-    if (p.algo == algo) return &p;
+    if (p.algo == algo && (c == 0 || p.c == c)) return &p;
   }
   return nullptr;
 }
 
 TEST(PrecisionPlanTest, PlanJsonRoundTripsPrecision) {
   Plan p;
-  p.algo = "cqr_1d";
+  p.algo = "ca_cqr2";
+  p.c = 1;
   p.d = 8;
   p.source = "model";
   p.precision = Precision::mixed;
@@ -65,15 +67,15 @@ TEST(PrecisionPlanTest, MixedLowersCholeskyFamilyScoresOnly) {
   const auto c64 = planner.candidates(f64);
   const auto cmx = planner.candidates(mixed);
   const auto c32 = planner.candidates(fp32);
-  for (const char* algo : {"cqr_1d", "ca_cqr2"}) {
-    const Plan* p64 = find_algo(c64, algo);
-    const Plan* pmx = find_algo(cmx, algo);
-    const Plan* p32 = find_algo(c32, algo);
-    ASSERT_NE(p64, nullptr) << algo;
-    ASSERT_NE(pmx, nullptr) << algo;
-    ASSERT_NE(p32, nullptr) << algo;
-    EXPECT_LT(pmx->predicted_seconds, p64->predicted_seconds) << algo;
-    EXPECT_LT(p32->predicted_seconds, pmx->predicted_seconds) << algo;
+  for (const int c : {1, 2}) {
+    const Plan* p64 = find_algo(c64, "ca_cqr2", c);
+    const Plan* pmx = find_algo(cmx, "ca_cqr2", c);
+    const Plan* p32 = find_algo(c32, "ca_cqr2", c);
+    ASSERT_NE(p64, nullptr) << "c=" << c;
+    ASSERT_NE(pmx, nullptr) << "c=" << c;
+    ASSERT_NE(p32, nullptr) << "c=" << c;
+    EXPECT_LT(pmx->predicted_seconds, p64->predicted_seconds) << "c=" << c;
+    EXPECT_LT(p32->predicted_seconds, pmx->predicted_seconds) << "c=" << c;
   }
   const Plan* pg64 = find_algo(c64, "pgeqrf_2d");
   const Plan* pgmx = find_algo(cmx, "pgeqrf_2d");
@@ -89,8 +91,8 @@ TEST(PrecisionPlanTest, ThreePassKeysIgnorePrecision) {
   const auto f64 = planner.candidates({8192, 128, 8, 1, 3, 0});
   const auto mixed =
       planner.candidates({8192, 128, 8, 1, 3, 0, Precision::mixed});
-  const Plan* p64 = find_algo(f64, "cqr_1d");
-  const Plan* pmx = find_algo(mixed, "cqr_1d");
+  const Plan* p64 = find_algo(f64, "ca_cqr2", 1);
+  const Plan* pmx = find_algo(mixed, "ca_cqr2", 1);
   ASSERT_NE(p64, nullptr);
   ASSERT_NE(pmx, nullptr);
   EXPECT_DOUBLE_EQ(pmx->predicted_seconds, p64->predicted_seconds);
