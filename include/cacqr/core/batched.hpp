@@ -38,9 +38,6 @@ namespace cacqr::core {
 struct BatchedOptions {
   int passes = 2;          ///< 1 = CQR, 2 = CQR2, 3 = shifted CQR3 per panel
   bool auto_shift = true;  ///< NotSpd panels retry shifted CholeskyQR3
-  i64 base_case = 0;       ///< has no effect: the sweep and its shifted
-                           ///< fallback run on the c = 1 grid, which
-                           ///< has no CFR3D recursion to steer
   Precision precision = Precision::fp64;
 };
 
