@@ -5,6 +5,10 @@
 ///        panels with m >> n) -- measured once per host-executable
 ///        micro-kernel variant (generic, avx2, avx512, neon).
 ///
+/// `trmm_r` rows also run at CholeskyQR's own local shape, m = 8192 and
+/// n = 16, 32, 64, 128: one rank's panel of a 32768-row matrix over four
+/// ranks.
+///
 /// The "seed" reference implementations below are verbatim copies of the
 /// scalar kernels this library shipped with before the packed micro-kernel
 /// rebuild (see DESIGN.md section 2), kept here so every future PR can
@@ -285,10 +289,19 @@ int main(int argc, char** argv) {
   }
   lin::parallel::set_thread_budget(threads);
 
-  const std::vector<i64> ms =
-      quick ? std::vector<i64>{1024, 16384}
-            : std::vector<i64>{1024, 16384, 65536};
-  const std::vector<i64> ns = {16, 64, 256};
+  // The kernel grid, then the CholeskyQR pass's own trmm shape: one rank's
+  // m/P x n panel of perfbench's 32768 x 64 over P = 4 is m = 8192.
+  struct Shape {
+    i64 m = 0;
+    i64 n = 0;
+    bool trmm_only = false;
+  };
+  std::vector<Shape> shapes;
+  for (const i64 m : quick ? std::vector<i64>{1024, 16384}
+                           : std::vector<i64>{1024, 16384, 65536}) {
+    for (const i64 n : {16, 64, 256}) shapes.push_back({m, n, false});
+  }
+  for (const i64 n : {16, 32, 64, 128}) shapes.push_back({8192, n, true});
   const double target = quick ? 0.05 : 0.25;
 
   // Every variant this host can execute, measured in the fixed dispatch
@@ -312,170 +325,175 @@ int main(int argc, char** argv) {
   std::printf("(*_f32 rows compare lanes, not the seed: columns are packed "
               "fp64 GF/s, packed fp32 GF/s, fp32/fp64)\n");
 
-  for (const i64 m : ms) {
-    for (const i64 n : ns) {
-      Rng rng(static_cast<u64>(m * 1000 + n));
-      // Slab layout (fixed order = fixed relative alignment): A, B, the
-      // big m x n work/output panels, then the small n x n operands.
-      OperandSlab slab(4 * static_cast<std::size_t>(m) *
-                           static_cast<std::size_t>(n) +
-                       4 * static_cast<std::size_t>(n) *
-                           static_cast<std::size_t>(n) +
-                       8 * 32);
-      MatrixView a = slab.take(m, n);
-      MatrixView b = slab.take(m, n);
-      MatrixView big = slab.take(m, n);   // gemm_nn output
-      MatrixView work = slab.take(m, n);  // trmm/trsm in-place panel
-      MatrixView t = slab.take(n, n);
-      MatrixView xs = slab.take(n, n);
-      MatrixView c = slab.take(n, n);
-      MatrixView g = slab.take(n, n);
-      lin::copy(lin::gaussian(rng, m, n), a);
-      lin::copy(lin::gaussian(rng, m, n), b);
-      {
-        Matrix t0 = lin::spd_with_cond(rng, n, 10.0);
-        lin::potrf(t0);
-        lin::copy(t0, t);
-      }
-      lin::copy(lin::gaussian(rng, n, n), xs);
+  for (const Shape& shape : shapes) {
+    const i64 m = shape.m;
+    const i64 n = shape.n;
+    const bool trmm_only = shape.trmm_only;
+    Rng rng(static_cast<u64>(m * 1000 + n));
+    // Slab layout (fixed order = fixed relative alignment): A, B, the
+    // big m x n work/output panels, then the small n x n operands.
+    OperandSlab slab(4 * static_cast<std::size_t>(m) *
+                         static_cast<std::size_t>(n) +
+                     4 * static_cast<std::size_t>(n) *
+                         static_cast<std::size_t>(n) +
+                     8 * 32);
+    MatrixView a = slab.take(m, n);
+    MatrixView b = slab.take(m, n);
+    MatrixView big = slab.take(m, n);   // gemm_nn output
+    MatrixView work = slab.take(m, n);  // trmm output, trsm in-place panel
+    MatrixView t = slab.take(n, n);
+    MatrixView xs = slab.take(n, n);
+    MatrixView c = slab.take(n, n);
+    MatrixView g = slab.take(n, n);
+    lin::copy(lin::gaussian(rng, m, n), a);
+    lin::copy(lin::gaussian(rng, m, n), b);
+    {
+      Matrix t0 = lin::spd_with_cond(rng, n, 10.0);
+      lin::potrf(t0);
+      lin::copy(t0, t);
+    }
+    lin::copy(lin::gaussian(rng, n, n), xs);
 
-      // fp32-lane operands: narrowed images of the same A and B.  MatrixF
-      // carries its own double-backed (8-byte-aligned) storage; the
-      // fp32 kernels pack operands before touching them, so the slab's
-      // alignment discipline is not needed here.
-      lin::MatrixF af = lin::MatrixF::uninit(m, n);
-      lin::MatrixF bf = lin::MatrixF::uninit(m, n);
-      lin::narrow(a, af);
-      lin::narrow(b, bf);
-      lin::MatrixF cf(n, n);
-      lin::MatrixF gf(n, n);
+    // fp32-lane operands: narrowed images of the same A and B.  MatrixF
+    // carries its own double-backed (8-byte-aligned) storage; the
+    // fp32 kernels pack operands before touching them, so the slab's
+    // alignment discipline is not needed here.
+    lin::MatrixF af = lin::MatrixF::uninit(m, n);
+    lin::MatrixF bf = lin::MatrixF::uninit(m, n);
+    lin::narrow(a, af);
+    lin::narrow(b, bf);
+    lin::MatrixF cf(n, n);
+    lin::MatrixF gf(n, n);
 
-      // Seed loops are variant-independent: time them once per shape.
-      const double flops_gemm = 2.0 * static_cast<double>(m) *
-                                static_cast<double>(n) *
-                                static_cast<double>(n);
-      const double flops_tri = static_cast<double>(m) *
-                               static_cast<double>(n) *
-                               static_cast<double>(n + 1);
-      const double ts_tn = time_best(
-          [&] { seed_gemm_tn(1.0, a, b, c); }, target);
-      const double ts_gram = time_best([&] { seed_gram(a, g); }, target);
-      const double ts_nn = time_best(
-          [&] { seed_gemm_nn(1.0, a, xs, big); }, target);
-      const double ts_trmm = time_best(
-          [&] {
-            lin::copy(b, work);
-            seed_trmm_rlt(t, work);
-          },
-          target);
-      const double ts_trsm = time_best(
+    // Seed loops are variant-independent: time them once per shape.
+    const double flops_gemm = 2.0 * static_cast<double>(m) *
+                              static_cast<double>(n) *
+                              static_cast<double>(n);
+    const double flops_tri = static_cast<double>(m) *
+                             static_cast<double>(n) *
+                             static_cast<double>(n + 1);
+    const double ts_trmm = time_best(
+        [&] {
+          lin::copy(b, work);
+          seed_trmm_rlt(t, work);
+        },
+        target);
+    double ts_tn = 0.0, ts_gram = 0.0, ts_nn = 0.0, ts_trsm = 0.0;
+    if (!trmm_only) {
+      ts_tn = time_best([&] { seed_gemm_tn(1.0, a, b, c); }, target);
+      ts_gram = time_best([&] { seed_gram(a, g); }, target);
+      ts_nn = time_best([&] { seed_gemm_nn(1.0, a, xs, big); }, target);
+      ts_trsm = time_best(
           [&] {
             lin::copy(b, work);
             seed_trsm_rlt(t, work);
           },
           target);
-
-      for (const lin::kernel::Variant v : variants) {
-        lin::kernel::set_kernel_variant(v);
-        const char* vname = lin::kernel::variant_name(v);
-
-        auto record = [&](const char* kernel, double flops, double t_seed,
-                          double t_new) {
-          Result r;
-          r.kernel = kernel;
-          r.variant = vname;
-          r.m = m;
-          r.n = n;
-          r.seed_gflops = flops / t_seed * 1e-9;
-          r.new_gflops = flops / t_new * 1e-9;
-          results.push_back(r);
-          std::printf("%-10s %-8s %8lld %5lld %12.2f %12.2f %8.2fx\n",
-                      kernel, vname, static_cast<long long>(m),
-                      static_cast<long long>(n), r.seed_gflops,
-                      r.new_gflops, r.speedup());
-          std::fflush(stdout);
-        };
-
-        double t_tn_f64 = 0.0;   // fp64 twins of the fp32-lane rows below
-        double t_gram_f64 = 0.0;
-        {  // C = A^T B: the c > 1 Gram path of CA-CQR (Algorithm 8 line 2).
-          const double tn = time_best(
-              [&] {
-                lin::gemm(lin::Trans::T, lin::Trans::N, 1.0, a, b, 0.0, c);
-              },
-              target);
-          t_tn_f64 = tn;
-          record("gemm_tn", flops_gemm, ts_tn, tn);
-        }
-        {  // G = A^T A: the c == 1 Gram path (Algorithms 4/6).
-          const double tn =
-              time_best([&] { lin::gram(1.0, a, 0.0, g); }, target);
-          t_gram_f64 = tn;
-          record("gram", flops_tri, ts_gram, tn);
-        }
-        {  // C = A X: panel times a square n x n factor.
-          const double tn =
-              time_best([&] { lin::matmul(a, xs, big); }, target);
-          record("gemm_nn", flops_gemm, ts_nn, tn);
-        }
-        {  // B = B L^T (right trmm): Q = A R^{-1} with R^{-1} = L^{-T}.
-          const double tn = time_best(
-              [&] {
-                lin::copy(b, work);
-                lin::trmm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
-                          lin::Diag::NonUnit, 1.0, t, work);
-              },
-              target);
-          record("trmm_r", flops_tri, ts_trmm, tn);
-        }
-        {  // Solve X L^T = B (right trsm): the least-squares backsolve.
-          const double tn = time_best(
-              [&] {
-                lin::copy(b, work);
-                lin::trsm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
-                          lin::Diag::NonUnit, 1.0, t, work);
-              },
-              target);
-          record("trsm_r", flops_tri, ts_trsm, tn);
-        }
-
-        // ---- the fp32 lane of the same variant: the two Gram-path
-        // kernels the mixed-precision driver dispatches, measured against
-        // the packed fp64 twins just timed (same shapes, same closed-form
-        // flop counts, so the ratio is a pure per-operation rate gain).
-        auto record_f32 = [&](const char* kernel, double flops,
-                              double t_f64, double t_f32) {
-          F32Result r;
-          r.kernel = kernel;
-          r.variant = vname;
-          r.m = m;
-          r.n = n;
-          r.fp64_gflops = flops / t_f64 * 1e-9;
-          r.fp32_gflops = flops / t_f32 * 1e-9;
-          f32_results.push_back(r);
-          std::printf("%-10s %-8s %8lld %5lld %12.2f %12.2f %8.2fx\n",
-                      kernel, vname, static_cast<long long>(m),
-                      static_cast<long long>(n), r.fp64_gflops,
-                      r.fp32_gflops, r.speedup());
-          std::fflush(stdout);
-        };
-        {
-          const double tf = time_best(
-              [&] {
-                lin::gemm_f32(lin::Trans::T, lin::Trans::N, 1.0f, af, bf,
-                              0.0f, cf);
-              },
-              target);
-          record_f32("gemm_tn_f32", flops_gemm, t_tn_f64, tf);
-        }
-        {
-          const double tf =
-              time_best([&] { lin::gram_f32(1.0f, af, 0.0f, gf); }, target);
-          record_f32("gram_f32", flops_tri, t_gram_f64, tf);
-        }
-      }
-      lin::kernel::set_kernel_variant(entry_variant);
     }
+
+    for (const lin::kernel::Variant v : variants) {
+      lin::kernel::set_kernel_variant(v);
+      const char* vname = lin::kernel::variant_name(v);
+
+      auto record = [&](const char* kernel, double flops, double t_seed,
+                        double t_new) {
+        Result r;
+        r.kernel = kernel;
+        r.variant = vname;
+        r.m = m;
+        r.n = n;
+        r.seed_gflops = flops / t_seed * 1e-9;
+        r.new_gflops = flops / t_new * 1e-9;
+        results.push_back(r);
+        std::printf("%-10s %-8s %8lld %5lld %12.2f %12.2f %8.2fx\n",
+                    kernel, vname, static_cast<long long>(m),
+                    static_cast<long long>(n), r.seed_gflops,
+                    r.new_gflops, r.speedup());
+        std::fflush(stdout);
+      };
+
+      {  // Q = A L^T (right trmm) written from A into its own panel:
+         // CholeskyQR's Q = A R^{-1} with R^{-1} = L^{-T}.  The seed
+         // column copies A and multiplies in place.
+        const double tn = time_best(
+            [&] {
+              lin::trmm_right(lin::Uplo::Lower, lin::Trans::T,
+                              lin::Diag::NonUnit, 1.0, t, b, work);
+            },
+            target);
+        record("trmm_r", flops_tri, ts_trmm, tn);
+      }
+      if (trmm_only) continue;
+
+      double t_tn_f64 = 0.0;   // fp64 twins of the fp32-lane rows below
+      double t_gram_f64 = 0.0;
+      {  // C = A^T B: the c > 1 Gram path of CA-CQR (Algorithm 8 line 2).
+        const double tn = time_best(
+            [&] {
+              lin::gemm(lin::Trans::T, lin::Trans::N, 1.0, a, b, 0.0, c);
+            },
+            target);
+        t_tn_f64 = tn;
+        record("gemm_tn", flops_gemm, ts_tn, tn);
+      }
+      {  // G = A^T A: the c == 1 Gram path (Algorithms 4/6).
+        const double tn =
+            time_best([&] { lin::gram(1.0, a, 0.0, g); }, target);
+        t_gram_f64 = tn;
+        record("gram", flops_tri, ts_gram, tn);
+      }
+      {  // C = A X: panel times a square n x n factor.
+        const double tn =
+            time_best([&] { lin::matmul(a, xs, big); }, target);
+        record("gemm_nn", flops_gemm, ts_nn, tn);
+      }
+      {  // Solve X L^T = B (right trsm): the least-squares backsolve.
+        const double tn = time_best(
+            [&] {
+              lin::copy(b, work);
+              lin::trsm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
+                        lin::Diag::NonUnit, 1.0, t, work);
+            },
+            target);
+        record("trsm_r", flops_tri, ts_trsm, tn);
+      }
+
+      // ---- the fp32 lane of the same variant: the two Gram-path
+      // kernels the mixed-precision driver dispatches, measured against
+      // the packed fp64 twins just timed (same shapes, same closed-form
+      // flop counts, so the ratio is a pure per-operation rate gain).
+      auto record_f32 = [&](const char* kernel, double flops,
+                            double t_f64, double t_f32) {
+        F32Result r;
+        r.kernel = kernel;
+        r.variant = vname;
+        r.m = m;
+        r.n = n;
+        r.fp64_gflops = flops / t_f64 * 1e-9;
+        r.fp32_gflops = flops / t_f32 * 1e-9;
+        f32_results.push_back(r);
+        std::printf("%-10s %-8s %8lld %5lld %12.2f %12.2f %8.2fx\n",
+                    kernel, vname, static_cast<long long>(m),
+                    static_cast<long long>(n), r.fp64_gflops,
+                    r.fp32_gflops, r.speedup());
+        std::fflush(stdout);
+      };
+      {
+        const double tf = time_best(
+            [&] {
+              lin::gemm_f32(lin::Trans::T, lin::Trans::N, 1.0f, af, bf,
+                            0.0f, cf);
+            },
+            target);
+        record_f32("gemm_tn_f32", flops_gemm, t_tn_f64, tf);
+      }
+      {
+        const double tf =
+            time_best([&] { lin::gram_f32(1.0f, af, 0.0f, gf); }, target);
+        record_f32("gram_f32", flops_tri, t_gram_f64, tf);
+      }
+    }
+    lin::kernel::set_kernel_variant(entry_variant);
   }
 
   // Thread-scaling sweep of the packed gemm paths at the tall-skinny

@@ -461,18 +461,20 @@ void fig3() {
 
 // ------------------------------------------------------------------ tables
 
-/// Max-over-ranks counter delta of `body(world, g)` on a c x d x c
-/// tunable grid.  The grid's communicator splits and everything outside
-/// `body` stay uncharged, so operands are built before the call.  Each
-/// rank publishes its delta: under a process transport (CACQR_TRANSPORT)
-/// a captured variable written by a forked rank never reaches the caller.
-template <class Body>
-rt::CostCounters measure(int c, int d, Body body) {
+/// Max-over-ranks counter delta of `body(world, g, x)` on a c x d x c
+/// tunable grid, where x = prepare(g) is the rank's operand.  The grid's
+/// communicator splits, `prepare` and everything else outside `body` stay
+/// uncharged.  Each rank publishes its delta: under a process transport
+/// (CACQR_TRANSPORT) a captured variable written by a forked rank never
+/// reaches the caller.
+template <class Prepare, class Body>
+rt::CostCounters measure(int c, int d, Prepare prepare, Body body) {
   const rt::RunOutput out =
       rt::Runtime::run_collect(c * c * d, [&](rt::Comm& world) {
         grid::TunableGrid g(world, c, d);
+        auto x = prepare(g);
         const auto before = world.counters();
-        body(world, g);
+        body(world, g, x);
         const auto delta = world.counters() - before;
         const double counts[] = {double(delta.msgs), double(delta.words),
                                  double(delta.flops)};
@@ -484,6 +486,14 @@ rt::CostCounters measure(int c, int d, Body body) {
                       .flops = i64(p[2])});
   }
   return rt::max_counters(deltas);
+}
+
+/// measure() of a body with no operand to prepare.
+template <class Body>
+rt::CostCounters measure(int c, int d, Body body) {
+  return measure(
+      c, d, [](const grid::TunableGrid&) { return 0; },
+      [&](rt::Comm& world, grid::TunableGrid& g, int) { body(world, g); });
 }
 
 std::string fmt(const rt::CostCounters& c) {
@@ -741,12 +751,15 @@ void ablation_basecase() {
     TextTable t;
     t.header({"n0", "levels", "msgs", "words", "flops"});
     for (const i64 n0 : {i64{2}, i64{4}, i64{8}, i64{16}, i64{32}, i64{64}}) {
-      const auto mc = rt::max_counters(
-          rt::Runtime::run(g * g * g, [&](rt::Comm& world) {
-            grid::CubeGrid cube(world, g);
-            auto da = DistMatrix::from_global_on_cube(spd, cube);
-            (void)chol::cfr3d(da, cube, {.base_case = n0});
-          }));
+      // The c = d = g tunable grid is one g^3 cube: its subcube.
+      const auto mc = measure(
+          g, g,
+          [&](const grid::TunableGrid& tg) {
+            return DistMatrix::from_global_on_cube(spd, tg.subcube());
+          },
+          [&](rt::Comm&, grid::TunableGrid& tg, const DistMatrix& da) {
+            (void)chol::cfr3d(da, tg.subcube(), {.base_case = n0});
+          });
       const i64 eff = chol::effective_base_case(n, g, n0);
       t.row({std::to_string(eff), std::to_string(ilog2(n / eff)),
              std::to_string(mc.msgs), std::to_string(mc.words),
@@ -783,16 +796,18 @@ void ablation_inverse() {
     TextTable t;
     t.header({"inverse_depth", "msgs", "words", "flops", "flops vs depth0",
               "msgs vs depth0"});
+    const lin::Matrix a = lin::hashed_matrix(51, m, n);
     i64 f0 = 0, m0 = 0;
     for (int depth = 0; depth <= 2; ++depth) {
-      const auto mc = rt::max_counters(
-          rt::Runtime::run(c * c * d, [&](rt::Comm& world) {
-            grid::TunableGrid g(world, c, d);
-            auto da = DistMatrix::from_global_on_tunable(
-                lin::hashed_matrix(51, m, n), g);
+      const auto mc = measure(
+          c, d,
+          [&](const grid::TunableGrid& g) {
+            return DistMatrix::from_global_on_tunable(a, g);
+          },
+          [&](rt::Comm&, grid::TunableGrid& g, const DistMatrix& da) {
             (void)core::ca_cqr2(da, g,
                                 {.base_case = 4, .inverse_depth = depth});
-          }));
+          });
       if (depth == 0) {
         f0 = mc.flops;
         m0 = mc.msgs;
@@ -838,16 +853,17 @@ void memory_tradeoff() {
     const i64 m = 128, n = 32;
     TextTable t;
     t.header({"c", "d", "A words/rank", "Gram words/rank", "msgs", "words"});
+    const lin::Matrix a = lin::hashed_matrix(61, m, n);
     for (const i64 c : {i64{1}, i64{2}, i64{4}}) {
       const i64 d = 64 / (c * c);
-      const auto mc =
-          rt::max_counters(rt::Runtime::run(64, [&](rt::Comm& world) {
-            grid::TunableGrid g(world, static_cast<int>(c),
-                                static_cast<int>(d));
-            auto da = DistMatrix::from_global_on_tunable(
-                lin::hashed_matrix(61, m, n), g);
+      const auto mc = measure(
+          static_cast<int>(c), static_cast<int>(d),
+          [&](const grid::TunableGrid& g) {
+            return DistMatrix::from_global_on_tunable(a, g);
+          },
+          [&](rt::Comm&, grid::TunableGrid& g, const DistMatrix& da) {
             (void)core::ca_cqr2(da, g);
-          }));
+          });
       t.row({std::to_string(c), std::to_string(d),
              std::to_string(m * n / (d * c)),
              std::to_string(n * n / (c * c)), std::to_string(mc.msgs),

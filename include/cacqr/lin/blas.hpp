@@ -6,8 +6,9 @@
 /// build environment): same mathematical contracts, same flop counts,
 /// column-major layout.  All level-3 kernels route through the packed,
 /// register-tiled micro-kernel core in kernel.hpp (gemm in all four
-/// transpose cases; gram/syrk_nt as triangle-filtered tile sweeps;
-/// trmm/trsm as blocked recursions whose off-diagonal updates are gemms).
+/// transpose cases; gram/syrk_nt as triangle-filtered tile sweeps; the
+/// right-side trmm as triangle-clipped sweeps; trmm/trsm as blocked
+/// recursions whose off-diagonal updates are gemms).
 /// Flop counts are charged as closed-form formulas independent of the
 /// blocking strategy -- absolute kernel speed only rescales the machine
 /// model's gamma parameter (see DESIGN.md section 1).
@@ -69,6 +70,14 @@ void syrk_nt(double alpha, ConstMatrixView a, double beta, MatrixView c,
 /// B = alpha * B * op(T) (Side::Right), T triangular per uplo/diag.
 void trmm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView t, MatrixView b);
+
+/// Out-of-place right triangular multiply: C = alpha * A * op(T), T
+/// triangular per uplo/diag.  Only T's referenced triangle is read.  C is
+/// written once and never read, so it may be uninitialized; it must not
+/// overlap A or T.  Bitwise equal to trmm(Side::Right) on a copy of A,
+/// and charged the same flops.
+void trmm_right(Uplo uplo, Trans trans, Diag diag, double alpha,
+                ConstMatrixView t, ConstMatrixView a, MatrixView c);
 
 /// Triangular solve: op(T) * X = alpha * B (Side::Left) or
 /// X * op(T) = alpha * B (Side::Right); X overwrites B.

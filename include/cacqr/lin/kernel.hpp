@@ -4,8 +4,9 @@
 ///        runtime-dispatched SIMD micro-kernel variants.
 ///
 /// Every level-3 kernel in cacqr::lin (gemm in all four transpose cases,
-/// gram, syrk_nt, and the off-diagonal updates of the blocked trmm/trsm
-/// recursions) funnels into the single accumulating driver declared here.
+/// gram, syrk_nt, the right-side trmm, and the off-diagonal updates of the
+/// blocked trmm/trsm recursions) funnels into the single driver declared
+/// here.
 /// The driver packs operand panels into contiguous, zero-padded buffers and
 /// updates a fixed MR x NR register block over the K dimension, with
 /// three-level MC/NC/KC cache blocking around it.  See DESIGN.md section 2
@@ -150,6 +151,24 @@ enum class TileFilter { Full, Lower, Upper };
 void gemm_accumulate(Trans ta, Trans tb, double alpha, ConstMatrixView a,
                      ConstMatrixView b, MatrixView c,
                      TileFilter filter = TileFilter::Full);
+
+/// C = alpha * A * op(T) for a square triangle T (uplo/trans/diag as in
+/// lin::trmm), through the same driver told that op(B) = op(T) is
+/// triangular.  op(T) is packed from the referenced triangle only (the
+/// other triangle is packed as zeros, the diagonal as ones for
+/// Diag::Unit), each NR column panel's contraction is clipped to the rows
+/// of op(T) that are not zero, and C is overwritten, never read, so it
+/// may be uninitialized.  The order of T must not exceed
+/// `trmm_sweep_order()`, so the product is a single contraction block.
+/// C may be A itself (same data and leading dimension): each MC row block
+/// of A is packed before its rows are written.  Otherwise C must not
+/// overlap A or T.  alpha must be nonzero (callers zero-fill instead).
+void trmm_sweep(Uplo uplo, Trans trans, Diag diag, double alpha,
+                ConstMatrixView t, ConstMatrixView a, MatrixView c);
+
+/// Largest triangle order `trmm_sweep` accepts under the active variant:
+/// its contraction block KC (bounded by NC).
+[[nodiscard]] i64 trmm_sweep_order();
 
 /// The fp32 lane of the same driver: identical packing/blocking/threading
 /// machinery instantiated at float width, dispatching to the active

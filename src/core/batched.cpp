@@ -63,36 +63,25 @@ std::vector<detail::PassOut> detail::batched_pass_1d(
   }
 
   // Line 2: ONE Allreduce for the whole batch -- 2 ceil(lg P) alpha total
-  // instead of per panel.  With overlap on, the Q staging copy of every
-  // panel (the copy line 4 multiplies in place) is made while the sum
-  // flies, the copy chunks polling progress; overlap off completes it
-  // first, the blocking order.
+  // instead of per panel.  Q and R of every panel are allocated while the
+  // sum flies, so the eager sends drain meanwhile; Q stays uninitialized,
+  // since line 4 writes it once, straight from A.
   rt::Request gram_sum = f32_gram
       ? comm.start_allreduce_sum_f32(
             {slab.data(), static_cast<std::size_t>(slab.size())})
       : comm.start_allreduce_sum(
             {slab.data(), static_cast<std::size_t>(slab.size())});
-  if (rt::overlap_enabled()) {
-    rt::ProgressScope scope(comm);
-    for (std::size_t i = 0; i < k; ++i) {
-      const dist::Layout& l = panels[i]->layout();
-      out[i].q = DistMatrix::uninit(l.rows, l.cols, l.row_procs,
-                                    l.col_procs, l.my_row, l.my_col);
-      out[i].r = lin::Matrix(l.cols, l.cols);
-      lin::copy(panels[i]->local(), out[i].q.local());
-    }
-  } else {
-    gram_sum.wait();
-    for (std::size_t i = 0; i < k; ++i) {
-      out[i].q = *panels[i];
-      out[i].r = lin::Matrix(panels[i]->cols(), panels[i]->cols());
-    }
+  for (std::size_t i = 0; i < k; ++i) {
+    const dist::Layout& l = panels[i]->layout();
+    out[i].q = DistMatrix::uninit(l.rows, l.cols, l.row_procs, l.col_procs,
+                                  l.my_row, l.my_col);
+    out[i].r = lin::Matrix(l.cols, l.cols);
   }
   gram_sum.wait();
 
   // Lines 3-4 per panel: redundant CholInv (R^T = chol(Z), R^{-T} =
   // L^{-1}) and the local triangular multiply Q_p = A_p R^{-1}, with the
-  // per-panel NotSpd isolation.
+  // per-panel NotSpd isolation (a failed panel's Q stays unwritten).
   for (std::size_t i = 0; i < k; ++i) {
     obs::SpanScope item_span("core", "batched_item");
     item_span.arg("item", static_cast<double>(i));
@@ -112,8 +101,8 @@ std::vector<detail::PassOut> detail::batched_pass_1d(
     }
     try {
       auto li = lin::cholinv(zv, tol);
-      lin::trmm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
-                lin::Diag::NonUnit, 1.0, li.l_inv, out[i].q.local());
+      lin::trmm_right(lin::Uplo::Lower, lin::Trans::T, lin::Diag::NonUnit,
+                      1.0, li.l_inv, panels[i]->local(), out[i].q.local());
       // Transpose L into the returned upper-triangular R.  Deliberately
       // sequential: the n^2/2-element extraction is noise next to the
       // n^3/3 cholinv above.

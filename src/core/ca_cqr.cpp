@@ -119,8 +119,8 @@ DistMatrix ca_gram(const DistMatrix& a, const grid::TunableGrid& g,
   // all d row classes (meaningful on the group roots; the next broadcast
   // overwrites everyone else).  Started before allocating line 5's
   // staging target (uninitialized -- the copy below overwrites it) so
-  // the schedule's eager sends drain during the allocation; the real
-  // Gram-Allreduce overlap window is the 1D pass's staging copy.
+  // the schedule's eager sends drain during the allocation, as the 1D
+  // pass allocates Q while its Gram Allreduce flies.
   rt::Request gram_sum = g.ygroup_strided().start_allreduce_sum(span_of(xbuf));
   const auto& sub = g.subcube();
   DistMatrix zmat = DistMatrix::uninit(n, n, sub.g(), sub.g(),

@@ -19,10 +19,11 @@ QrFactors cqr_pass(lin::ConstMatrixView a, std::optional<double> tol) {
   // Line 2: R^T = chol(W) and R^{-T} = L^{-1} in one embedded recursion.
   auto li = lin::cholinv(w, tol);  // li.l == R^T, li.l_inv == R^{-T}
 
-  // Line 3: Q = A R^{-1} = A (L^{-1})^T, a triangular multiply (m n^2).
-  QrFactors out{lin::materialize(a), lin::Matrix(n, n)};
-  lin::trmm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
-            lin::Diag::NonUnit, 1.0, li.l_inv, out.q);
+  // Line 3: Q = A R^{-1} = A (L^{-1})^T, a triangular multiply (m n^2)
+  // that writes Q once, straight from A.
+  QrFactors out{lin::Matrix::uninit(a.rows, n), lin::Matrix(n, n)};
+  lin::trmm_right(lin::Uplo::Lower, lin::Trans::T, lin::Diag::NonUnit, 1.0,
+                  li.l_inv, a, out.q);
 
   // R = L^T.
   for (i64 j = 0; j < n; ++j) {

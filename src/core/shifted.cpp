@@ -28,9 +28,9 @@ QrFactors shifted_cqr3(lin::ConstMatrixView a) {
   const double s = recommended_shift(a.rows, n, fro * fro);
   for (i64 i = 0; i < n; ++i) g(i, i) += s;
   auto li = lin::cholinv(g);
-  lin::Matrix q1 = lin::materialize(a);
-  lin::trmm(lin::Side::Right, lin::Uplo::Lower, lin::Trans::T,
-            lin::Diag::NonUnit, 1.0, li.l_inv, q1);
+  lin::Matrix q1 = lin::Matrix::uninit(a.rows, n);
+  lin::trmm_right(lin::Uplo::Lower, lin::Trans::T, lin::Diag::NonUnit, 1.0,
+                  li.l_inv, a, q1);
 
   // Passes 2-3: plain CholeskyQR2 on the now well-conditioned Q1, with
   // no fallback left, so only a pivot that is not positive breaks it down

@@ -345,39 +345,57 @@ void pack_a(Trans ta, const View& a, i64 i0, i64 k0, i64 mc, i64 kc,
   }
 }
 
+/// What the driver knows about op(B): dense (gemm), or a square upper or
+/// lower triangle (trmm_sweep), whose zero part is neither read, nor
+/// packed from memory, nor multiplied.
+enum class BTri { none, upper, lower };
+
+/// Whether op(B)(k, j) lies in the triangle `tri` (always, when dense).
+inline bool in_tri(BTri tri, i64 k, i64 j) noexcept {
+  return tri == BTri::none || (tri == BTri::upper ? k <= j : k >= j);
+}
+
 /// Packs tnr-column panels [q_begin, q_end) of the kc x nc block of op(B)
 /// starting at (k0, j0): panel q holds columns [q*tnr, q*tnr + tnr) stored
 /// k-major, so the micro-kernel reads tnr contiguous elements (one per
 /// register broadcast) per k step.  Columns beyond nc are zero-padded.
-/// tnr is the active variant's register-tile width.
+/// tnr is the active variant's register-tile width.  A triangular op(B)
+/// reads only its triangle: the rest packs as zeros, and with `unit` the
+/// diagonal packs as ones.
 template <class T, class View>
-void pack_b(Trans tb, const View& b, i64 k0, i64 j0, i64 kc, i64 nc,
-            i64 tnr, T* __restrict buf, i64 q_begin, i64 q_end) {
+void pack_b(Trans tb, const View& b, BTri tri, bool unit, i64 k0, i64 j0,
+            i64 kc, i64 nc, i64 tnr, T* __restrict buf, i64 q_begin,
+            i64 q_end) {
   for (i64 qi = q_begin; qi < q_end; ++qi) {
     const i64 q = qi * tnr;
     const i64 nr = std::min(tnr, nc - q);
     T* panel = buf + q * kc;
-    if (tb == Trans::N && nr == tnr) {
+    if (tri == BTri::none && tb == Trans::N && nr == tnr) {
       // op(B)(k, j) = B(k, j): packed panel column j is a contiguous
       // column j0+q+j of B.
       for (i64 j = 0; j < tnr; ++j) {
         const T* col = b.data + k0 + (j0 + q + j) * b.ld;
         for (i64 k = 0; k < kc; ++k) panel[k * tnr + j] = col[k];
       }
-    } else if (tb == Trans::T && nr == tnr) {
+    } else if (tri == BTri::none && tb == Trans::T && nr == tnr) {
       const T* base = b.data + (j0 + q) + k0 * b.ld;
       for (i64 k = 0; k < kc; ++k) {
         const T* col = base + k * b.ld;
         for (i64 j = 0; j < tnr; ++j) panel[k * tnr + j] = col[j];
       }
     } else {
-      // op(B)(k, j) = B(k, j) or B(j, k); columns beyond nc zero-pad.
+      // op(B)(k, j) = B(k, j) or B(j, k); columns beyond nc and entries
+      // outside a triangle zero-pad.
       for (i64 k = 0; k < kc; ++k) {
         for (i64 j = 0; j < tnr; ++j) {
-          panel[k * tnr + j] =
-              j < nr ? (tb == Trans::N ? b(k0 + k, j0 + q + j)
-                                       : b(j0 + q + j, k0 + k))
-                     : T(0);
+          const i64 gk = k0 + k;
+          const i64 gj = j0 + q + j;
+          T v = T(0);
+          if (j < nr && in_tri(tri, gk, gj)) {
+            v = unit && gk == gj ? T(1)
+                                 : (tb == Trans::N ? b(gk, gj) : b(gj, gk));
+          }
+          panel[k * tnr + j] = v;
         }
       }
     }
@@ -402,29 +420,43 @@ inline bool tile_selected(TileFilter f, i64 i, i64 j, i64 mr, i64 nr) {
 /// The jr/ir micro-tile sweep over one packed (A block, B panel) pair,
 /// restricted to tnr-panels [q_begin, q_end) of the jc step.  Each selected
 /// micro-tile runs the variant's tile function and clip-writes `alpha *
-/// acc` into its mr x nr rectangle of C.  Every tile is written by exactly
-/// one caller, so parallel sweeps over disjoint panel (or ic block) ranges
-/// stay race-free and bitwise deterministic.
+/// acc` into its mr x nr rectangle of C: added to C, or, for a triangular
+/// op(B) (one contraction block, pc == 0), stored over it.  A triangular
+/// op(B) also clips each panel's contraction to its rows that are not
+/// zero: rows < jc + jr + nr of an upper triangle, rows >= jc + jr of a
+/// lower one.  Every tile is written by exactly one caller, so parallel
+/// sweeps over disjoint panel (or ic block) ranges stay race-free and
+/// bitwise deterministic.
 template <class T, class Impl, class CMView>
 void sweep_tiles(const Impl& ki, T alpha, const T* __restrict abuf,
                  const T* __restrict bbuf, CMView c, TileFilter filter,
-                 i64 ic, i64 mc, i64 jc, i64 nc, i64 kc, i64 q_begin,
-                 i64 q_end, T* __restrict acc) {
+                 BTri tri, i64 ic, i64 mc, i64 jc, i64 nc, i64 pc, i64 kc,
+                 i64 q_begin, i64 q_end, T* __restrict acc) {
   const i64 tmr = ki.mr;
   const i64 tnr = ki.nr;
+  const bool overwrite = tri != BTri::none;
   for (i64 qi = q_begin; qi < q_end; ++qi) {
     const i64 jr = qi * tnr;
     const i64 nr = std::min(tnr, nc - jr);
-    const T* bp = bbuf + jr * kc;
+    i64 k0 = 0;
+    i64 k1 = kc;
+    if (tri == BTri::upper) k1 = std::min(kc, jc + jr + nr - pc);
+    if (tri == BTri::lower) k0 = std::max<i64>(0, jc + jr - pc);
+    if (k0 >= k1) continue;
+    const T* bp = bbuf + jr * kc + k0 * tnr;
     for (i64 ir = 0; ir < mc; ir += tmr) {
       const i64 mr = std::min(tmr, mc - ir);
       if (!tile_selected(filter, ic + ir, jc + jr, mr, nr)) continue;
-      ki.tile(kc, abuf + ir * kc, bp, acc);
+      ki.tile(k1 - k0, abuf + ir * kc + k0 * tmr, bp, acc);
       T* ct = c.data + (ic + ir) + (jc + jr) * c.ld;
       for (i64 j = 0; j < nr; ++j) {
         T* __restrict cc = ct + j * c.ld;
         const T* __restrict accj = acc + j * tmr;
-        for (i64 i = 0; i < mr; ++i) cc[i] += alpha * accj[i];
+        if (overwrite) {
+          for (i64 i = 0; i < mr; ++i) cc[i] = alpha * accj[i];
+        } else {
+          for (i64 i = 0; i < mr; ++i) cc[i] += alpha * accj[i];
+        }
       }
     }
   }
@@ -501,7 +533,8 @@ namespace {
 /// fp64 results stay bitwise identical).
 template <class T, class Impl, class CView, class MView>
 void gemm_accumulate_body(const Impl& ki, Trans ta, Trans tb, T alpha,
-                          CView a, CView b, MView c, TileFilter filter) {
+                          CView a, CView b, MView c, TileFilter filter,
+                          BTri tri = BTri::none, bool unit = false) {
   const i64 m = c.rows;
   const i64 n = c.cols;
   const i64 k = ta == Trans::N ? a.cols : a.rows;
@@ -524,15 +557,16 @@ void gemm_accumulate_body(const Impl& ki, Trans ta, Trans tb, T alpha,
         const i64 kc = std::min(TKC, k - pc);
         T* bbuf =
             arena_b().get<T>(static_cast<std::size_t>(nc_pad * kc));
-        pack_b(tb, b, pc, jc, kc, nc, TNR, bbuf, 0, ceil_div(nc, TNR));
+        pack_b(tb, b, tri, unit, pc, jc, kc, nc, TNR, bbuf, 0,
+               ceil_div(nc, TNR));
         for (i64 ic = 0; ic < m; ic += TMC) {
           const i64 mc = std::min(TMC, m - ic);
           const i64 mc_pad = round_up(mc, TMR);
           T* abuf =
               arena_a().get<T>(static_cast<std::size_t>(mc_pad * kc));
           pack_a(ta, a, ic, pc, mc, kc, TMR, abuf, 0, ceil_div(mc, TMR));
-          sweep_tiles(ki, alpha, abuf, bbuf, c, filter, ic, mc, jc, nc, kc,
-                      0, ceil_div(nc, TNR), acc);
+          sweep_tiles(ki, alpha, abuf, bbuf, c, filter, tri, ic, mc, jc, nc,
+                      pc, kc, 0, ceil_div(nc, TNR), acc);
         }
       }
     }
@@ -572,7 +606,8 @@ void gemm_accumulate_body(const Impl& ki, Trans ta, Trans tb, T alpha,
       }
       parallel::run(nt, [&](parallel::Team& team) {
         const parallel::Range bq = team.chunk(q_total, 1);
-        pack_b(tb, b, pc, jc, kc, nc, TNR, bbuf, bq.begin, bq.end);
+        pack_b(tb, b, tri, unit, pc, jc, kc, nc, TNR, bbuf, bq.begin,
+               bq.end);
         team.barrier();
         alignas(64) T acc[kMaxAcc<T>];
         if (split_ic) {
@@ -583,8 +618,8 @@ void gemm_accumulate_body(const Impl& ki, Trans ta, Trans tb, T alpha,
             T* abuf =
                 arena_a().get<T>(static_cast<std::size_t>(mc_pad * kc));
             pack_a(ta, a, ic, pc, mc, kc, TMR, abuf, 0, ceil_div(mc, TMR));
-            sweep_tiles(ki, alpha, abuf, bbuf, c, filter, ic, mc, jc, nc,
-                        kc, 0, q_total, acc);
+            sweep_tiles(ki, alpha, abuf, bbuf, c, filter, tri, ic, mc, jc,
+                        nc, pc, kc, 0, q_total, acc);
           }
         } else {
           for (i64 blk = 0; blk < ic_total; ++blk) {
@@ -595,8 +630,8 @@ void gemm_accumulate_body(const Impl& ki, Trans ta, Trans tb, T alpha,
                    ap.end);
             team.barrier();
             const parallel::Range qs = team.chunk(q_total, 1);
-            sweep_tiles(ki, alpha, shared_abuf, bbuf, c, filter, ic, mc,
-                        jc, nc, kc, qs.begin, qs.end, acc);
+            sweep_tiles(ki, alpha, shared_abuf, bbuf, c, filter, tri, ic,
+                        mc, jc, nc, pc, kc, qs.begin, qs.end, acc);
             team.barrier();
           }
         }
@@ -613,6 +648,28 @@ void gemm_accumulate(Trans ta, Trans tb, double alpha, ConstMatrixView a,
   // coherent even if set_kernel_variant races with this call.
   const MicroKernelImpl ki = *active_impl();
   gemm_accumulate_body<double>(ki, ta, tb, alpha, a, b, c, filter);
+}
+
+void trmm_sweep(Uplo uplo, Trans trans, Diag diag, double alpha,
+                ConstMatrixView t, ConstMatrixView a, MatrixView c) {
+  const MicroKernelImpl ki = *active_impl();
+  const i64 n = t.rows;
+  // One contraction block and one column block: then the first (only) k
+  // block may store over C, and in place each packed A block is complete
+  // before any of its rows is written.
+  ensure(n <= std::min(ki.kc, ki.nc),
+         "trmm_sweep: triangle order exceeds the contraction block");
+  ensure(alpha != 0.0, "trmm_sweep: alpha must be nonzero");
+  const bool upper_op = (uplo == Uplo::Upper) == (trans == Trans::N);
+  gemm_accumulate_body<double>(ki, Trans::N, trans, alpha, a, t, c,
+                               TileFilter::Full,
+                               upper_op ? BTri::upper : BTri::lower,
+                               diag == Diag::Unit);
+}
+
+i64 trmm_sweep_order() {
+  const MicroKernelImpl* ki = active_impl();
+  return std::min(ki->kc, ki->nc);
 }
 
 void gemm_accumulate_f32(Trans ta, Trans tb, float alpha, ConstMatrixFView a,
